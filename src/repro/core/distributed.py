@@ -14,18 +14,23 @@ top of the simulated cluster:
    created partition and a direct link (a :class:`RemoteChild` pointer)
    replaces it, leaving the original partition as a routing-only partition.
 3. **Distributed k-nearest search** — forward descent to a leaf, then a
-   backward visit that explores the sibling subtree only when the splitting
-   plane is closer than the current worst neighbour or the result set is
-   not yet full; partition crossings exchange request/result messages.
-4. **Distributed range search** — when ``|P[SI] - Sv| < D`` both children are
-   navigated (in parallel across partitions when the node is an edge node);
-   otherwise navigation follows the insertion rule; partial result sets are
-   merged on the way back.
+   backward visit that explores the sibling subtree only when the result
+   set is not yet full or the subtree can still hold a point closer than
+   the current worst neighbour (the splitting-plane test, tightened by the
+   bound accumulated along the descent, which rides in the search state
+   across partitions); partition crossings exchange request/result messages.
+4. **Distributed range search** — when ``|P[SI] - Sv| <= D`` and the far side
+   is still within reach both children are navigated (in parallel across
+   partitions when the node is an edge node); otherwise navigation follows
+   the insertion rule; partial result sets are merged on the way back.
 
-Costs are charged to the :class:`~repro.cluster.cluster.SimulatedCluster`:
-local work per visited node / examined point to the owning partition,
-message latencies to the network.  Wall-clock time is measured separately by
-the benchmark harness.
+Both searches run the shared loops of :mod:`repro.core.kernels`; this module
+supplies what a remote child means.  Costs are charged to the
+:class:`~repro.cluster.cluster.SimulatedCluster`: local work per visited
+node / examined point to the owning partition — summed while a traversal
+stays in the partition and charged once when it leaves — message latencies
+to the network.  Wall-clock time is measured separately by the benchmark
+harness.
 
 Cross-partition hops go through a
 :class:`~repro.cluster.transport.PartitionRouter` (the simulated bus by
@@ -41,18 +46,15 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.cluster.cluster import SimulatedCluster
 from repro.cluster.message import Message, MessageKind
 from repro.cluster.transport import PartitionRouter, PartitionScan, SimulatedBusRouter
 from repro.core import kernels
 from repro.core.config import SemTreeConfig
-from repro.core.cost import SearchCost
-from repro.core.knn import KSearchState, Neighbour
+from repro.core.knn import KSearchState, Neighbour, RangeSearchState
 from repro.core.node import ChildRef, Node, RemoteChild
 from repro.core.partition import Partition
-from repro.core.point import LabeledPoint, euclidean_distance
+from repro.core.point import LabeledPoint
 from repro.core.splitting import choose_split
 from repro.errors import IndexError_, PartitionError, QueryError
 
@@ -64,16 +66,18 @@ def range_children(node: Node, query: LabeledPoint,
                    radius: float) -> Tuple[ChildRef, ...]:
     """The paper's range navigation rule for one routing node.
 
-    Both children when the query ball straddles the splitting plane
-    (``|P[SI] - Sv| < D``), the insertion-rule child otherwise.  The single
-    place the rule (and its corruption contract — a routing node with a
-    missing child fails loudly, never yields a silently-partial scan) is
-    written down: the sequential traversal, the shard-local scan and the
-    coordinator's partition pruning all call it, so they can never drift.
+    Both children when the query ball reaches the splitting plane
+    (``|P[SI] - Sv| <= D`` — inclusive like the hit rule, so a point on the
+    plane exactly ``D`` away is not lost), the insertion-rule child
+    otherwise.  This is the rule as published, which the coordinator's
+    partition pruning applies; the traversals tighten it with the descent
+    bound (:func:`repro.core.kernels.range_descend`) and so enter a subset
+    of the children listed here.  A routing node with a missing child fails
+    loudly, never yields a silently-partial scan.
     """
     assert node.split_index is not None and node.split_value is not None
     plane_distance = abs(query[node.split_index] - node.split_value)
-    if plane_distance < radius:
+    if plane_distance <= radius:
         children: Tuple[Optional[ChildRef], ...] = (node.left, node.right)
     else:
         children = (node.child_for(query),)
@@ -90,32 +94,13 @@ def scan_subtree_knn(root: Node, state: KSearchState,
     """K-search over the *local* nodes below ``root``; remote links are skipped.
 
     Runs the paper's forward descent + backward visit with the usual pruning
-    rules, but never crosses a :class:`RemoteChild` — the caller (a shard
+    rules (from a zero descent bound), but never crosses a :class:`RemoteChild` — the caller (a shard
     server, or a scatter-gather front end) owns exactly one partition's
     subtree and other partitions are scanned independently.  The state's
     result set therefore holds the partition-local top-k, whose union over
     all partitions contains the global top-k.
     """
-    # Stack entries: (node, pending_far_child) — ``None`` means forward phase.
-    stack: List[Tuple[Node, Optional[ChildRef]]] = [(root, None)]
-    while stack:
-        node, pending_far = stack.pop()
-        if pending_far is not None:
-            assert node.split_index is not None and node.split_value is not None
-            if isinstance(pending_far, Node) and state.must_visit_other_side(
-                node.split_index, node.split_value
-            ):
-                stack.append((pending_far, None))
-            continue
-        state.nodes_visited += 1
-        if node.is_leaf:
-            kernels.knn_scan_node(state, node, kernel)
-            continue
-        near_child = node.child_for(state.query)
-        far_child = node.other_child(near_child)
-        stack.append((node, far_child))
-        if isinstance(near_child, Node):
-            stack.append((near_child, None))
+    kernels.knn_descend(root, state, kernel)
     return state
 
 
@@ -124,19 +109,10 @@ def scan_subtree_range(root: Node, state: "RangeSearchState",
     """Range search over the *local* nodes below ``root``; remote links skipped.
 
     Applies the same navigation rule as the sequential search (both children
-    when the query ball straddles the splitting plane) within one
-    partition's subtree.
+    while the query ball reaches the far side of the splitting plane) within
+    one partition's subtree, starting from a zero descent bound.
     """
-    stack: List[Node] = [root]
-    while stack:
-        node = stack.pop()
-        state.nodes_visited += 1
-        if node.is_leaf:
-            state.examine_bucket(node, kernel)
-            continue
-        for child in range_children(node, state.query, state.radius):
-            if isinstance(child, Node):
-                stack.append(child)
+    kernels.range_descend(root, state, kernel)
     return state
 
 
@@ -157,73 +133,6 @@ def subtree_point_count(root: Node) -> int:
             if isinstance(child, Node):
                 stack.append(child)
     return total
-
-
-class RangeSearchState:
-    """Mutable state of one distributed range search (results + counters)."""
-
-    def __init__(self, query: LabeledPoint, radius: float):
-        if radius < 0:
-            raise QueryError("the range distance D must be non-negative")
-        self.query = query
-        self.radius = radius
-        self.results: List[Neighbour] = []
-        self.nodes_visited = 0
-        self.points_examined = 0
-        self.partitions_visited = 0
-        self.cost = SearchCost()
-        self.visited_partition_ids: List[str] = []
-        self._visited_partition_set: set[str] = set()
-        self._query_array = None
-
-    def query_array(self) -> np.ndarray:
-        """The query coordinates as a NumPy vector, built once per search."""
-        if self._query_array is None:
-            self._query_array = np.asarray(self.query.coordinates, dtype=np.float64)
-        return self._query_array
-
-    def note_partition(self, partition_id: str) -> None:
-        """Record the identity of a partition the search entered (load metrics).
-
-        Membership is checked against a set; ``visited_partition_ids`` keeps
-        first-seen order for the serving layer's per-partition load metrics.
-        """
-        if partition_id not in self._visited_partition_set:
-            self._visited_partition_set.add(partition_id)
-            self.visited_partition_ids.append(partition_id)
-
-    def examine_point(self, point: LabeledPoint) -> bool:
-        """Test one stored point against the ball; returns True when it is a result.
-
-        The inclusion rule is ``distance <= radius``, inclusive — the
-        delta-segment scan of :mod:`repro.ingest.delta` applies the same
-        rule, so both sides of a merged read agree on boundary points.
-        """
-        self.points_examined += 1
-        self.cost.distance_computations += 1
-        distance = euclidean_distance(self.query, point)
-        if distance <= self.radius:
-            self.results.append(Neighbour(point, distance))
-            return True
-        return False
-
-    def examine_bucket(self, node: Node, kernel: str = kernels.DEFAULT_SCAN_KERNEL) -> int:
-        """Scan one leaf's bucket with the configured kernel; returns hits.
-
-        The ``"numpy"`` kernel computes every bucket distance in one
-        vectorized pass and bulk-updates ``points_examined``; the
-        ``"scalar"`` kernel walks :meth:`examine_point` per point.
-        """
-        found, examined = kernels.range_scan_node(self.query, self.radius, node, kernel,
-                                                  query_array=self.query_array(),
-                                                  cost=self.cost)
-        self.points_examined += examined
-        self.results.extend(found)
-        return len(found)
-
-    def sorted_results(self) -> List[Neighbour]:
-        """The collected results, closest first."""
-        return sorted(self.results, key=lambda neighbour: neighbour.distance)
 
 
 class DistributedSemTree:
@@ -510,58 +419,19 @@ class DistributedSemTree:
             )
         state = KSearchState(query=query, k=k)
         state.partitions_visited = 1
-        self._knn_traverse(self.root_partition, state)
+        self._traverse(self.root_partition, state,
+                       kernels.knn_descend, self.router.continue_knn)
         return state
 
     def handle_knn_message(self, partition: Partition, message: Message) -> None:
         """Bus callback: continue a k-search in ``partition`` and send the result back."""
         state: KSearchState = message.payload["state"]
         state.partitions_visited += 1
-        self._knn_traverse(partition, state)
+        self._traverse(partition, state, kernels.knn_descend, self.router.continue_knn)
         self.router.reply_found(
             MessageKind.KNN_RESULT, partition.partition_id, message.source,
             len(state.results),
         )
-
-    def _knn_traverse(self, partition: Partition, state: KSearchState) -> None:
-        """Iterative forward + backward k-search over the nodes of one partition.
-
-        Remote children encountered on the way are delegated to their
-        partitions through the message bus (which re-enters this method via
-        :meth:`handle_knn_message`).
-        """
-        state.note_partition(partition.partition_id)
-        # Stack entries: (node, pending_far_child) — ``None`` means forward phase.
-        stack: List[Tuple[Node, Optional[ChildRef]]] = [(partition.root, None)]
-        while stack:
-            node, pending_far = stack.pop()
-            if pending_far is not None:
-                assert node.split_index is not None and node.split_value is not None
-                if state.must_visit_other_side(node.split_index, node.split_value):
-                    self._knn_expand(partition, pending_far, stack, state)
-                continue
-            state.nodes_visited += 1
-            self.cluster.charge_work(partition.partition_id, self.config.node_visit_cost)
-            if node.is_leaf:
-                examined = len(node.bucket)
-                kernels.knn_scan_node(state, node, self.config.scan_kernel)
-                self.cluster.charge_work(
-                    partition.partition_id, self.config.point_visit_cost * examined
-                )
-                continue
-            near_child = node.child_for(state.query)
-            far_child = node.other_child(near_child)
-            stack.append((node, far_child))
-            self._knn_expand(partition, near_child, stack, state)
-
-    def _knn_expand(self, partition: Partition, child: ChildRef,
-                    stack: List[Tuple[Node, Optional[ChildRef]]],
-                    state: KSearchState) -> None:
-        """Expand a child reference: push local nodes, delegate remote ones."""
-        if isinstance(child, RemoteChild):
-            self.router.continue_knn(partition.partition_id, child.partition_id, state)
-            return
-        stack.append((child, None))
 
     # -- range search -----------------------------------------------------------------------------
 
@@ -578,43 +448,47 @@ class DistributedSemTree:
             )
         state = RangeSearchState(query, radius)
         state.partitions_visited = 1
-        self._range_traverse(self.root_partition, state)
+        self._traverse(self.root_partition, state,
+                       kernels.range_descend, self.router.continue_range)
         return state
 
     def handle_range_message(self, partition: Partition, message: Message) -> None:
         """Bus callback: continue a range search in ``partition`` and reply with results."""
         state: RangeSearchState = message.payload["state"]
         state.partitions_visited += 1
-        self._range_traverse(partition, state)
+        self._traverse(partition, state, kernels.range_descend, self.router.continue_range)
         self.router.reply_found(
             MessageKind.RANGE_RESULT, partition.partition_id, message.source,
             len(state.results),
         )
 
-    def _range_traverse(self, partition: Partition, state: RangeSearchState) -> None:
-        state.note_partition(partition.partition_id)
-        stack: List[Node] = [partition.root]
-        while stack:
-            node = stack.pop()
-            state.nodes_visited += 1
-            self.cluster.charge_work(partition.partition_id, self.config.node_visit_cost)
-            if node.is_leaf:
-                state.examine_bucket(node, self.config.scan_kernel)
-                self.cluster.charge_work(
-                    partition.partition_id, self.config.point_visit_cost * len(node.bucket)
-                )
-                continue
-            # The query ball may straddle the plane: navigate both children
-            # (in parallel across partitions when the node is an edge node).
-            for child in range_children(node, state.query, state.radius):
-                self._range_expand(partition, child, stack, state)
+    # -- the guided traversal (both searches) ---------------------------------------------------
 
-    def _range_expand(self, partition: Partition, child: ChildRef,
-                      stack: List[Node], state: RangeSearchState) -> None:
-        if isinstance(child, RemoteChild):
-            self.router.continue_range(partition.partition_id, child.partition_id, state)
-            return
-        stack.append(child)
+    def _traverse(self, partition: Partition, state, descend, forward) -> None:
+        """Run a shared search loop (``descend``) over ``partition``'s local nodes.
+
+        Remote children are handed to ``forward`` — the router's
+        ``continue_knn`` / ``continue_range``, which re-enters this method
+        through the bus callbacks above.  The state's visit counters only
+        advance here while the search stays in this partition, so the local
+        work is charged from their growth, once per stay: before each hop
+        and when the loop drains.
+        """
+        partition_id = partition.partition_id
+        state.note_partition(partition_id)
+        mark = [state.nodes_visited, state.points_examined]
+
+        def charge() -> None:
+            self._charge_scan(partition_id, state.nodes_visited - mark[0],
+                              state.points_examined - mark[1])
+
+        def hop(child: RemoteChild) -> None:
+            charge()
+            forward(partition_id, child.partition_id, state)
+            mark[:] = state.nodes_visited, state.points_examined
+
+        descend(partition.root, state, self.config.scan_kernel, hop)
+        charge()
 
     # -- whole-partition scans (scatter-gather serving) ---------------------------------------------
 

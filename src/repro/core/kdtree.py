@@ -10,13 +10,16 @@ follows the paper's structural choices:
 * a saturated leaf is converted into a routing node whose two fresh children
   receive its points;
 * k-nearest search descends to the candidate leaf and backtracks, visiting
-  the sibling subtree only when the splitting plane is closer than the
-  current worst neighbour or the result set is not yet full (the paper's
-  disjunction);
-* range search descends both children when ``|P[SI] - Sv| < D`` and one
-  child otherwise, then merges results on the way back.
+  the sibling subtree only when the result set is not yet full or the
+  subtree can still hold a closer point than the current worst neighbour
+  (the paper's disjunction, its plane test tightened by the bound
+  accumulated along the descent);
+* range search descends both children when the ball reaches the plane
+  (``|P[SI] - Sv| <= D``, inclusive like the hit rule) and the far side
+  beyond it, one child otherwise, then merges results on the way back.
 
-All traversals are iterative (explicit stacks): the paper's "totally
+Both searches are the shared loops of :mod:`repro.core.kernels`.  All
+traversals are iterative (explicit stacks): the paper's "totally
 unbalanced (chain)" configuration produces trees whose depth equals the
 number of points, which would overflow Python's recursion limit.
 
@@ -29,13 +32,11 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core import kernels
 from repro.core.config import SemTreeConfig, SplitStrategy
 from repro.core.cost import SearchCost
 from repro.core.kernels import DEFAULT_SCAN_KERNEL, validate_scan_kernel
-from repro.core.knn import KSearchState, Neighbour
+from repro.core.knn import KSearchState, Neighbour, RangeSearchState
 from repro.core.node import Node, RemoteChild
 from repro.core.point import LabeledPoint
 from repro.core.splitting import choose_split, partition_bucket
@@ -205,38 +206,7 @@ class KDTree:
                 f"query has {query.dimensions} dimensions, the tree expects {self.dimensions}"
             )
         state = KSearchState(query=query, k=k)
-        # Explicit stack of (node, pending_far_child); a ``None`` second item
-        # means the entry still has to be expanded (forward phase).  The loop
-        # body inlines ``child_for`` / ``other_child`` / ``must_visit_other_side``:
-        # deep searches traverse thousands of routing nodes and the method
-        # dispatch was a measurable share of query latency.
-        query_coords = query.coordinates
-        results = state.results
-        scan_kernel = self.scan_kernel
-        stack: List[Tuple[Node, Optional[Node]]] = [(self.root, None)]
-        while stack:
-            node, pending_far = stack.pop()
-            split_index = node.split_index
-            if pending_far is not None:
-                # Backward visit of ``node``: decide whether to explore the
-                # not-yet-analysed subtree (the paper's disjunction).
-                if (not results.is_full
-                        or abs(query_coords[split_index] - node.split_value)
-                        < results.current_radius):
-                    stack.append((pending_far, None))
-                continue
-            state.nodes_visited += 1
-            if split_index is None:  # leaf
-                kernels.knn_scan_node(state, node, scan_kernel)
-                continue
-            if query_coords[split_index] <= node.split_value:
-                near_child, far_child = node.left, node.right
-            else:
-                near_child, far_child = node.right, node.left
-            if not isinstance(near_child, Node) or not isinstance(far_child, Node):
-                raise IndexError_("a sequential KDTree cannot contain remote children")
-            stack.append((node, far_child))   # backward visit, handled after the near subtree
-            stack.append((near_child, None))  # forward visit of the near subtree first
+        kernels.knn_descend(self.root, state, self.scan_kernel, self._local)
         return state
 
     # -- range search ---------------------------------------------------------------------------
@@ -258,34 +228,11 @@ class KDTree:
             raise QueryError(
                 f"query has {query.dimensions} dimensions, the tree expects {self.dimensions}"
             )
-        if radius < 0:
-            raise QueryError("the range distance D must be non-negative")
-        results: List[Neighbour] = []
-        visited = 0
-        query_coords = query.coordinates
-        query_array = np.asarray(query_coords, dtype=np.float64)
-        scan_kernel = self.scan_kernel
-        stack: List[Node] = [self.root]
-        while stack:
-            node = stack.pop()
-            visited += 1
-            split_index = node.split_index
-            if split_index is None:  # leaf
-                found, _ = kernels.range_scan_node(query, radius, node, scan_kernel,
-                                                   query_array=query_array, cost=cost)
-                results.extend(found)
-                continue
-            offset = query_coords[split_index] - node.split_value
-            if abs(offset) < radius:
-                # The query ball straddles the splitting plane: navigate both children.
-                stack.append(self._local(node.left))
-                stack.append(self._local(node.right))
-            else:
-                # Otherwise navigate as in the insertion algorithm
-                # (``P[Sr] <= Sv`` descends left).
-                stack.append(self._local(node.left if offset <= 0 else node.right))
-        results.sort(key=lambda neighbour: neighbour.distance)
-        return results, visited
+        state = RangeSearchState(query, radius)
+        kernels.range_descend(self.root, state, self.scan_kernel, self._local)
+        if cost is not None:
+            cost.add(state.cost)
+        return state.sorted_results(), state.nodes_visited
 
     @staticmethod
     def _local(child) -> Node:

@@ -1,4 +1,4 @@
-"""K-nearest search state — Table I of the paper.
+"""Search states — Table I of the paper, and its range-search counterpart.
 
 The distributed k-nearest search algorithm is described by the paper through
 its input parameters (Table I):
@@ -20,7 +20,11 @@ Point          P      the point of interest
 This module implements those pieces: :class:`NodeStatus`, the bounded
 :class:`ResultSet` (``Rs``), and :class:`KSearchState` which bundles ``K``,
 ``P``, ``Rs`` and exposes the two sub-conditions of the backward visit
-(distance comparison and replenishment check).
+(distance comparison and replenishment check).  :class:`RangeSearchState`
+is the same bundle for a range search: ``P``, the fixed ``D`` and the
+unbounded result list.  Both carry the descent bound
+(:func:`repro.core.kernels.split_children`) of the subtree a traversal is
+about to enter, so it travels with the state from partition to partition.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from repro.core.cost import SearchCost
 from repro.core.point import LabeledPoint, euclidean_distance
 from repro.errors import QueryError
 
-__all__ = ["NodeStatus", "Neighbour", "ResultSet", "KSearchState"]
+__all__ = ["NodeStatus", "Neighbour", "ResultSet", "KSearchState", "RangeSearchState"]
 
 
 class NodeStatus(Enum):
@@ -80,8 +84,8 @@ class ResultSet:
         # closer candidate displaces the worst entry, the *latest-offered* of
         # equally-distant maxima is evicted first.  Together these give one
         # invariant — among equal distances, the earliest offer always
-        # survives — which is exactly what the vectorized kernel's stable
-        # top-k preselection reproduces.
+        # survives — which the vectorized kernel reproduces by offering its
+        # preselected rows (boundary ties included) in bucket order.
         self._heap: List[Tuple[float, int, Neighbour]] = []
         self._counter = itertools.count()
 
@@ -151,6 +155,11 @@ class KSearchState:
     cost:
         Fine-grained work counters (:class:`~repro.core.cost.SearchCost`):
         exact distance computations, prefilter prunes, kernel batches.
+    entry_bound:
+        ``(rd, offsets)`` of the subtree about to be entered: the
+        per-dimension offsets between ``P`` and the subtree's cell and their
+        squared sum, a lower bound on the squared distance to anything
+        stored there.  Zero for a search that starts at a root.
     """
 
     query: LabeledPoint
@@ -163,10 +172,12 @@ class KSearchState:
     visited_partition_ids: List[str] = field(default_factory=list)
     _visited_partition_set: Set[str] = field(default_factory=set, init=False, repr=False)
     _query_array: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    entry_bound: Tuple[float, List[float]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.results = ResultSet(self.k)
         self._visited_partition_set = set(self.visited_partition_ids)
+        self.entry_bound = (0.0, [0.0] * self.query.dimensions)
 
     def query_array(self) -> np.ndarray:
         """``P``'s coordinates as a NumPy vector, built once per search.
@@ -199,6 +210,11 @@ class KSearchState:
         (``|max(Rs[SI]) - P[SI]| > |P[SI] - Sv|`` — i.e. the splitting plane
         is closer than the current worst neighbour), the latter checks the
         replenishment of ``Rs`` against ``k`` (``Rs.length() < K``).
+
+        This is the rule as published.  The traversals apply
+        :func:`repro.core.kernels.within_reach`, which tightens the distance
+        comparison with the accumulated descent bound and therefore visits a
+        subset of the subtrees this rule would, in the same order.
         """
         if not self.results.is_full:
             return True
@@ -220,3 +236,60 @@ class KSearchState:
         self.cost.buckets_scanned += 1
         self.cost.scalar_fallbacks += 1
         return sum(1 for point in points if self.examine(point))
+
+
+class RangeSearchState:
+    """Mutable state of one range search (results + counters)."""
+
+    def __init__(self, query: LabeledPoint, radius: float):
+        if radius < 0:
+            raise QueryError("the range distance D must be non-negative")
+        self.query = query
+        self.radius = radius
+        self.results: List[Neighbour] = []
+        self.nodes_visited = 0
+        self.points_examined = 0
+        self.partitions_visited = 0
+        self.cost = SearchCost()
+        self.visited_partition_ids: List[str] = []
+        self._visited_partition_set: Set[str] = set()
+        self._query_array: Optional[np.ndarray] = None
+        #: See :attr:`KSearchState.entry_bound`.
+        self.entry_bound: Tuple[float, List[float]] = (0.0, [0.0] * query.dimensions)
+
+    def query_array(self) -> np.ndarray:
+        """The query coordinates as a NumPy vector, built once per search."""
+        if self._query_array is None:
+            self._query_array = np.asarray(self.query.coordinates, dtype=np.float64)
+        return self._query_array
+
+    def note_partition(self, partition_id: str) -> None:
+        """Record the identity of a partition the search entered (load metrics).
+
+        Membership is checked against a set; ``visited_partition_ids`` keeps
+        first-seen order for the serving layer's per-partition load metrics.
+        """
+        if partition_id not in self._visited_partition_set:
+            self._visited_partition_set.add(partition_id)
+            self.visited_partition_ids.append(partition_id)
+
+    def examine_point(self, point: LabeledPoint) -> bool:
+        """Test one stored point against the ball; returns True when it is a result.
+
+        The inclusion rule is ``distance <= radius``, inclusive — the
+        delta-segment scan of :mod:`repro.ingest.delta` applies the same
+        rule, so both sides of a merged read agree on boundary points.  This
+        is the ``"scalar"`` scan kernel — the per-point correctness oracle;
+        the vectorized path is :func:`repro.core.kernels.flush_range_leaves`.
+        """
+        self.points_examined += 1
+        self.cost.distance_computations += 1
+        distance = euclidean_distance(self.query, point)
+        if distance <= self.radius:
+            self.results.append(Neighbour(point, distance))
+            return True
+        return False
+
+    def sorted_results(self) -> List[Neighbour]:
+        """The collected results, closest first."""
+        return sorted(self.results, key=lambda neighbour: neighbour.distance)

@@ -299,6 +299,34 @@ def test_linear_scan_numpy_dimension_mismatch_raises_library_error():
         index.range_query(bad_query, 0.5)
 
 
+def test_squared_distances_rejects_a_mismatched_matrix():
+    """Direct callers get the library error — also where NumPy would broadcast."""
+    matrix = kernels.coordinate_matrix(_random_points(8, 3))
+    for bad_query in ([0.1, 0.2], [0.1], np.zeros(4)):
+        with pytest.raises(IndexError_, match="dimension mismatch"):
+            kernels.squared_distances(matrix, bad_query)
+    assert kernels.squared_distances(matrix, matrix[0])[0] == 0.0
+
+
+def test_tree_entry_points_own_the_dimension_check():
+    """The per-leaf kernels no longer re-validate: every traversal entry must."""
+    from repro.errors import QueryError
+
+    points = _random_points(64, 3)
+    bad_query = LabeledPoint.of([0.5])  # would broadcast against (n, 3) silently
+    sequential = KDTree.build_balanced(points, bucket_size=16)
+    distributed = DistributedSemTree(SemTreeConfig(dimensions=3, bucket_size=16))
+    distributed.insert_all(points)
+    for search in (lambda: sequential.k_nearest_state(bad_query, 3),
+                   lambda: sequential.range_query_state(bad_query, 0.5),
+                   lambda: distributed.k_nearest_state(bad_query, 3),
+                   lambda: distributed.range_query_state(bad_query, 0.5),
+                   lambda: distributed.scan_partition_knn("P0", bad_query, 3),
+                   lambda: distributed.scan_partition_range("P0", bad_query, 0.5)):
+        with pytest.raises(QueryError):
+            search()
+
+
 def test_delta_numpy_dimension_mismatch_raises_library_error():
     delta = DeltaIndex(scan_kernel="numpy")
     for seq, point in enumerate(_random_points(32, 2), start=1):
