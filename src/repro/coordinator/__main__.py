@@ -12,8 +12,7 @@ Boot sequence:
    it serves the partition the topology claims;
 3. a :class:`~repro.coordinator.app.CoordinatorApp` (query engine over the
    :class:`~repro.coordinator.sharded.ShardedIndex`) is bound to the HTTP
-   transport chosen by ``--transport`` (the :mod:`selectors` event loop by
-   default, or thread-per-connection with ``--transport threaded``);
+   transport (:class:`~repro.server.http.SemTreeServer`);
 4. SIGINT/SIGTERM drain in-flight queries and close the shard connections.
 
 Example::
@@ -38,10 +37,10 @@ from repro.coordinator.topology import ShardTopology
 from repro.coordinator.transport import HttpShardTransport
 from repro.errors import ShardError
 from repro.obs.logging import configure_logging
-from repro.obs.profile import SamplingProfiler
-from repro.server.__main__ import ServerLike, _fault_plan, _serve_until_signalled
 from repro.server.bootstrap import derive_distance_from_state
-from repro.server.factory import TRANSPORTS, create_server
+from repro.server.cli import (add_serving_options, bind_server, engine_options,
+                              extra_actors, fault_plan_from, serve_until_signalled)
+from repro.server.http import SemTreeServer
 from repro.service.snapshot import load_index_payload, read_snapshot_payload
 from repro.workloads.http_client import ServerClient
 
@@ -61,21 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="inline topology: P0=http://host:port,P1=...")
     parser.add_argument("--topology", default=None,
                         help="topology JSON file ({\"P0\": \"http://...\", ...})")
-    parser.add_argument("--host", default="127.0.0.1", help="bind address")
-    parser.add_argument("--port", type=int, default=8080,
-                        help="bind port (0 picks an ephemeral port)")
-    parser.add_argument("--transport", choices=TRANSPORTS, default=None,
-                        help="HTTP front end: the selectors event loop "
-                             "('async', the default) or thread-per-connection "
-                             "('threaded'); default honours $REPRO_TRANSPORT")
-    parser.add_argument("--idle-timeout", type=float, default=None,
-                        help="async transport: drop keep-alive connections "
-                             "idle this many seconds (default: the request "
-                             "timeout)")
-    parser.add_argument("--transport-workers", type=int, default=8,
-                        help="async transport: dispatch worker threads")
-    parser.add_argument("--workers", type=int, default=4,
-                        help="query-engine worker threads")
     parser.add_argument("--scatter-workers", type=int, default=8,
                         help="concurrent partition scans across all queries")
     parser.add_argument("--shard-timeout", type=float, default=10.0,
@@ -90,42 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="send a duplicate scan to another replica when the "
                              "first takes longer than this many seconds "
                              "(default: no hedging)")
-    parser.add_argument("--cache-capacity", type=int, default=1024,
-                        help="result-cache entries")
-    parser.add_argument("--cache-ttl", type=float, default=None,
-                        help="result-cache TTL in seconds (default: no expiry)")
-    parser.add_argument("--cache-segmented", action="store_true",
-                        help="use SLRU (probationary/protected) cache admission")
-    parser.add_argument("--default-deadline", type=float, default=None,
-                        help="per-query deadline in seconds applied when a request "
-                             "carries none")
-    parser.add_argument("--actors", default="",
-                        help="comma-separated extra actor names (as for the full "
-                             "server; must match what the snapshot writer used)")
     parser.add_argument("--skip-shard-check", action="store_true",
                         help="do not probe each shard's /v1/shard at boot")
-    parser.add_argument("--slow-query-ms", type=float, default=None,
-                        help="log executed queries slower than this many "
-                             "milliseconds as structured JSON on repro.slow_query "
-                             "(default: REPRO_SLOW_QUERY_MS, unset = disabled)")
-    parser.add_argument("--profile", action="store_true",
-                        help="run a continuous sampling profiler; read it back "
-                             "at GET /v1/debug/profile")
-    parser.add_argument("--max-queue-depth", type=int, default=None,
-                        help="admission control: reject queries with 503 + "
-                             "Retry-After once this many are outstanding in the "
-                             "engine (default: unbounded)")
-    parser.add_argument("--client-rate", type=float, default=None,
-                        help="admission control: per-client (X-Client-Id header) "
-                             "sustained queries/second (default: unlimited)")
-    parser.add_argument("--client-burst", type=int, default=10,
-                        help="per-client token-bucket burst size (with "
-                             "--client-rate)")
-    parser.add_argument("--faults", default=None,
-                        help="fault-injection plan: JSON text or a path to a "
-                             "JSON file (default: $REPRO_FAULTS; testing only)")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress per-request log lines")
+    add_serving_options(parser)
     return parser
 
 
@@ -146,7 +97,7 @@ def _check_shards(topology: ShardTopology, timeout: float) -> None:
 
 
 def build_coordinator(argv: Optional[Sequence[str]] = None,
-                      ) -> Tuple[ServerLike, argparse.Namespace]:
+                      ) -> Tuple[SemTreeServer, argparse.Namespace]:
     """Parse arguments, load the snapshot, return a bound (not serving) server."""
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -158,13 +109,12 @@ def build_coordinator(argv: Optional[Sequence[str]] = None,
         _check_shards(topology, args.shard_timeout)
 
     payload = read_snapshot_payload(args.snapshot)
-    extra_actors = [name.strip() for name in args.actors.split(",") if name.strip()]
-    distance, _ = derive_distance_from_state(payload, extra_actors=extra_actors)
+    distance, _ = derive_distance_from_state(payload, extra_actors=extra_actors(args))
     base = load_index_payload(payload, distance)
 
     # One plan poisons both sides the coordinator owns: its scan transport
     # ("scan" operations) and its own HTTP surface ("handle" operations).
-    fault_plan = _fault_plan(args)
+    fault_plan = fault_plan_from(args)
     transport = HttpShardTransport(
         topology, timeout=args.shard_timeout,
         failure_threshold=args.failure_threshold,
@@ -173,30 +123,10 @@ def build_coordinator(argv: Optional[Sequence[str]] = None,
         fault_plan=fault_plan,
     )
     index = ShardedIndex(base, transport, scatter_workers=args.scatter_workers)
-    app = CoordinatorApp(
-        index,
-        workers=args.workers,
-        cache_capacity=args.cache_capacity,
-        cache_ttl=args.cache_ttl,
-        cache_segmented=args.cache_segmented,
-        default_deadline=args.default_deadline,
-        slow_query_ms=args.slow_query_ms,
-        profiler=SamplingProfiler().start() if args.profile else None,
-        max_queue_depth=args.max_queue_depth,
-        client_rate=args.client_rate,
-        client_burst=args.client_burst,
-    )
-    server = create_server(
-        app, transport=args.transport, host=args.host, port=args.port,
-        quiet=args.quiet, fault_plan=fault_plan,
-        idle_timeout=args.idle_timeout,
-        transport_workers=args.transport_workers,
-        # Shard data changes under the coordinator without any local epoch
-        # signal, so loop-side byte caching is never safe here (and
-        # CoordinatorApp exposes no cacheable routes).
-        wire_cache=False,
-    )
-    return server, args
+    app = CoordinatorApp(index, **engine_options(args))
+    # No wire cache: shard data changes under the coordinator without any
+    # local epoch signal, so CoordinatorApp names no cacheable routes.
+    return bind_server(app, args, fault_plan), args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -209,7 +139,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(f"coordinating {len(app.index.base)} points over "
           f"{len(app.index.transport.partition_ids())} shards "
           f"({tree.partition_count} partitions in the snapshot)", flush=True)
-    return _serve_until_signalled(server, args)
+    return serve_until_signalled(server)
 
 
 if __name__ == "__main__":

@@ -239,7 +239,7 @@ def profile_endpoint(params: Dict[str, str],
 
     Returns a JSON-native dictionary (``format=top``, the default) or a
     ``(content_type, text)`` pair (``format=collapsed``) — the two shapes
-    the transport's parameterised GET dispatch understands.
+    GET dispatch understands.
     """
     fmt = params.get("format", "top")
     if fmt not in ("top", "collapsed"):

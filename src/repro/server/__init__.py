@@ -7,24 +7,27 @@ clients that are not the process that built it:
 * :mod:`repro.server.schemas` — wire request/response schemas: typed
   validation of query/insert payloads into :class:`QuerySpec` /
   :class:`Triple`, result rendering, structured JSON errors;
-* :mod:`repro.server.app` — :class:`ServerApp`, the transport-free endpoint
-  logic: queries through :class:`~repro.service.engine.QueryEngine`
-  (batched, cached, deadline-bounded), inserts through
+* :mod:`repro.server.shell` — :class:`ServiceShell` / :class:`EngineShell`,
+  what every serving tier shares: request counters, the close-once
+  lifecycle, the metrics registry, slow-query log, profiler and history,
+  the health / metrics / profile / history routes and (engine-backed
+  tiers) the ``/v1/knn`` / ``/v1/range`` handler;
+* :mod:`repro.server.app` — :class:`ServerApp`, the full single-node tier:
+  queries through :class:`~repro.service.engine.QueryEngine` (batched,
+  cached, deadline-bounded), inserts through
   :class:`~repro.ingest.ingesting.IngestingIndex` (WAL + delta), the
   unified ``/v1/metrics`` payload, graceful close with
   checkpoint-on-exit;
-* :mod:`repro.server.protocol` — the transport-neutral framing and
-  dispatch layer both HTTP front ends share: one incremental request
-  parser, one error ladder, one access-log line;
-* :mod:`repro.server.http` — :class:`SemTreeServer`, the threaded
-  transport (``ThreadingHTTPServer``, one handler thread per connection);
-* :mod:`repro.server.async_http` — :class:`AsyncSemTreeServer`, the
-  event-loop transport (one ``selectors`` loop + a worker pool);
-* :mod:`repro.server.factory` — :func:`create_server`, which picks a
-  transport from the ``--transport`` flag / ``$REPRO_TRANSPORT`` (the
-  event-loop transport is the default);
+* :mod:`repro.server.shard` — :class:`ShardApp`, one partition's raw scan
+  endpoints (``--shard`` mode);
+* :mod:`repro.server.protocol` — the framing and dispatch layer: one
+  incremental request parser, one error ladder, one access-log line;
+* :mod:`repro.server.http` — :class:`SemTreeServer`, the transport (one
+  ``selectors`` event loop + a worker pool);
 * :mod:`repro.server.bootstrap` — recovering a servable index (and the
   semantic distance) from a checkpoint snapshot + WAL on disk;
+* :mod:`repro.server.cli` — the option group and serve loop the
+  ``python -m repro.server`` and ``python -m repro.coordinator`` CLIs share;
 * :mod:`repro.server.__main__` — the ``python -m repro.server`` CLI.
 
 The HTTP client lives with the other workload drivers:
@@ -33,9 +36,6 @@ reference and ``docs/architecture.md`` for where this layer sits.
 """
 
 from repro.server.app import ServerApp
-from repro.server.async_http import AsyncSemTreeServer
-from repro.server.factory import (DEFAULT_TRANSPORT, TRANSPORT_ENV, TRANSPORTS,
-                                  create_server, resolve_transport)
 from repro.server.bootstrap import (derive_distance, harvest_triples, load_shard,
                                     recover_index)
 from repro.server.http import SemTreeServer
@@ -43,17 +43,14 @@ from repro.server.schemas import (parse_insert_request, parse_query_request,
                                   parse_shard_scan_request, parse_triple,
                                   render_result)
 from repro.server.shard import ShardApp
+from repro.server.shell import EngineShell, ServiceShell
 
 __all__ = [
+    "ServiceShell",
+    "EngineShell",
     "ServerApp",
     "ShardApp",
     "SemTreeServer",
-    "AsyncSemTreeServer",
-    "create_server",
-    "resolve_transport",
-    "TRANSPORTS",
-    "DEFAULT_TRANSPORT",
-    "TRANSPORT_ENV",
     "derive_distance",
     "harvest_triples",
     "recover_index",

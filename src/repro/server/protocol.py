@@ -1,16 +1,14 @@
-"""The transport-neutral HTTP/1.1 framing and dispatch layer.
+"""The HTTP/1.1 framing and dispatch layer.
 
-Both transports — the threaded :class:`~repro.server.http.SemTreeServer`
-and the event-loop :class:`~repro.server.async_http.AsyncSemTreeServer` —
-are thin byte movers around this module.  They share exactly one
-implementation of:
+The transport (:class:`~repro.server.http.SemTreeServer`) is a thin byte
+mover around this module, which holds the one implementation of:
 
 - **framing** (:class:`RequestParser`): an incremental, non-blocking
   HTTP/1.1 request parser.  Bytes go in via :meth:`RequestParser.feed` in
   whatever chunks the socket produced; a :class:`ParsedRequest` comes out.
   All limits (request-line length, header count/size, body size) and all
   malformed-input verdicts live here, so a framing fuzzer that pins this
-  module pins both transports at once.
+  module pins the wire behaviour.
 - **dispatch** (:class:`Dispatcher`): the full request lifecycle — trace
   activation, request context, fault injection, routing, the pinned
   4xx/5xx error ladder, handler invocation, serialisation, the access-log
@@ -19,11 +17,11 @@ implementation of:
 The parser deliberately *pauses* once the header block is complete
 (``state == "paused"``): whether the body should be read at all is a
 dispatch-level decision (a 404 or 415 answers immediately without waiting
-for body bytes that may never arrive — exactly what the threaded handler
-has always done).  The transport asks :meth:`Dispatcher.needs_body`; a
-``True`` resumes body framing via :meth:`RequestParser.begin_body`, a
-``False`` dispatches right away with the body unread (and the connection
-marked to close, so leftover bytes can never desync the next exchange).
+for body bytes that may never arrive).  The transport asks
+:meth:`Dispatcher.needs_body`; a ``True`` resumes body framing via
+:meth:`RequestParser.begin_body`, a ``False`` dispatches right away with
+the body unread (and the connection marked to close, so leftover bytes can
+never desync the next exchange).
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 from repro import __version__
 from repro.faults import FaultPlan, FaultSpec
 from repro.obs import logging as obs_logging
-from repro.obs import prometheus as obs_prometheus
 from repro.obs.tracing import Trace, activate, sanitize_trace_id, span
 from repro.server.context import (CLIENT_ID_HEADER, IDEMPOTENCY_KEY_HEADER,
                                   request_context)
@@ -203,9 +200,6 @@ class WireResponse:
         parts.append("\r\n")
         return "".join(parts).encode("latin-1")
 
-    def encode(self) -> bytes:
-        return self.encode_head() + self.body
-
     def drip_chunks(self) -> List[Tuple[float, bytes]]:
         """The body as ``(pause_seconds, chunk)`` pairs for a drip fault.
 
@@ -259,11 +253,6 @@ class RequestParser:
     def remainder(self) -> int:
         """Bytes received beyond the current request (pipelining)."""
         return len(self._buffer)
-
-    @property
-    def buffered_bytes(self) -> int:
-        """Total bytes currently held for this connection (bound check)."""
-        return len(self._buffer) + len(self._body)
 
     def feed(self, data: bytes) -> None:
         if self.state in ("complete", "error", "paused"):
@@ -423,24 +412,13 @@ class RequestParser:
         self.state = "paused"
 
 
-def _routing_error(route: str, method: str, known: set) -> Tuple[int, Dict[str, Any]]:
-    if route in known:
-        return 405, {"error": {
-            "type": "MethodNotAllowed",
-            "message": f"{method} is not supported on {route}",
-        }}
-    return 404, {"error": {
-        "type": "NotFound",
-        "message": f"unknown endpoint {route!r}; "
-                   "see docs/server.md for the API reference",
-    }}
-
-
 class Dispatcher:
-    """The transport-neutral request lifecycle over one bound app.
+    """The request lifecycle over one bound app.
 
-    ``dispatch`` runs on whatever thread the transport chose (a handler
-    thread for the threaded server, a pool worker for the async one); it
+    ``app`` needs only ``post_routes()`` (path → ``handler(json_body)``)
+    and ``get_routes()`` (path → ``handler(query_params)``); a handler
+    returns a JSON-native payload, or a ``(content_type, text)`` pair for
+    a non-JSON body.  ``dispatch`` runs on the transport's pool workers; it
     is fully thread-safe because all mutable state lives in the app/engine
     layers below, which already serve concurrent callers.
     """
@@ -453,18 +431,6 @@ class Dispatcher:
         self.fault_plan = fault_plan
         self.record_wire_bytes = record_wire_bytes
 
-    # -- routing tables (the app owns them; see ServerApp/ShardApp/CoordinatorApp) --
-
-    def _post_routes(self) -> Dict[str, Callable[[Any], Dict[str, Any]]]:
-        return self.app.post_routes()
-
-    def _get_routes(self) -> Dict[str, Callable[[], Dict[str, Any]]]:
-        return self.app.get_routes()
-
-    def _get_param_routes(self) -> Dict[str, Callable[[Dict[str, str]], Any]]:
-        table = getattr(self.app, "get_param_routes", None)
-        return table() if table is not None else {}
-
     # -- the body decision (transport asks this at header-complete time) ----------------
 
     def needs_body(self, request: ParsedRequest) -> bool:
@@ -472,13 +438,12 @@ class Dispatcher:
 
         Mirrors the pinned POST error ladder: a request that will die on
         routing (404/405), media type (415), transfer encoding (501),
-        length (411) or size (413) is answered immediately — the threaded
-        server has never waited for body bytes on those paths, and the
-        fuzzer pins both transports to that behaviour.
+        length (411) or size (413) is answered immediately, without
+        waiting for body bytes — the fuzzer pins that behaviour.
         """
         if request.method != "POST":
             return False
-        if request.route not in self._post_routes():
+        if request.route not in self.app.post_routes():
             return False
         content_type = request.headers.get("Content-Type", "application/json")
         if "json" not in content_type:
@@ -626,40 +591,26 @@ class Dispatcher:
         # GETs never read a body; if a client sent one anyway, the unread
         # bytes must not be parsed as the next request on this connection.
         close = request.body_indicated
-        param_handler = self._get_param_routes().get(route)
-        if param_handler is not None:
-            try:
-                with span("handle", endpoint=route):
-                    payload = param_handler(query_params(request.target))
-            except Exception as error:  # noqa: BLE001 - every failure becomes a body
-                return self._error_response(error, close=close)
-            if isinstance(payload, tuple):
-                content_type, text = payload
-                return self._text_response(200, text, content_type, close=close)
-            return self._json_response(
-                200, self._attach_debug(payload, request, trace), close=close)
-        handler = self._get_routes().get(route)
+        handler = self.app.get_routes().get(route)
         if handler is None:
-            status, payload = _routing_error(route, request.method,
-                                             self._known_routes())
+            status, payload = self._routing_error(route, request.method)
             return self._json_response(status, payload, close=close)
-        requested_format = query_params(request.target).get("format")
-        if route == "/v1/metrics" and requested_format not in (None, "json"):
-            return self._metrics_exposition(requested_format, close=close)
         try:
             with span("handle", endpoint=route):
-                payload = handler()
+                payload = handler(query_params(request.target))
         except Exception as error:  # noqa: BLE001 - every failure becomes a body
             return self._error_response(error, close=close)
+        if isinstance(payload, tuple):
+            content_type, text = payload
+            return self._text_response(200, text, content_type, close=close)
         return self._json_response(
             200, self._attach_debug(payload, request, trace), close=close)
 
     def _respond_post(self, request: ParsedRequest, trace: Trace,
                       route: str) -> WireResponse:
-        handler = self._post_routes().get(route)
+        handler = self.app.post_routes().get(route)
         if handler is None:
-            status, payload = _routing_error(route, request.method,
-                                             self._known_routes())
+            status, payload = self._routing_error(route, request.method)
             return self._json_response(status, payload,
                                        close=request.body_indicated)
         content_type = request.headers.get("Content-Type", "application/json")
@@ -707,26 +658,17 @@ class Dispatcher:
         return self._json_response(
             200, self._attach_debug(payload, request, trace))
 
-    def _metrics_exposition(self, requested_format: str, *,
-                            close: bool) -> WireResponse:
-        renderer = getattr(self.app, "metrics_prometheus", None)
-        if requested_format != "prometheus" or renderer is None:
-            return self._json_response(400, {"error": {
-                "type": "QueryError",
-                "message": f"unknown metrics format {requested_format!r}; "
-                           "expected 'json' or 'prometheus'",
-            }}, close=close)
-        try:
-            with span("handle", endpoint="/v1/metrics"):
-                text = renderer()
-        except Exception as error:  # noqa: BLE001 - every failure becomes a body
-            return self._error_response(error, close=close)
-        return self._text_response(200, text, obs_prometheus.CONTENT_TYPE,
-                                   close=close)
-
-    def _known_routes(self) -> set:
-        return (set(self._post_routes()) | set(self._get_routes())
-                | set(self._get_param_routes()))
+    def _routing_error(self, route: str, method: str) -> Tuple[int, Dict[str, Any]]:
+        if route in self.app.post_routes() or route in self.app.get_routes():
+            return 405, {"error": {
+                "type": "MethodNotAllowed",
+                "message": f"{method} is not supported on {route}",
+            }}
+        return 404, {"error": {
+            "type": "NotFound",
+            "message": f"unknown endpoint {route!r}; "
+                       "see docs/server.md for the API reference",
+        }}
 
     def _debug_trace_requested(self, request: ParsedRequest) -> bool:
         value = request.headers.get("X-Debug-Trace", "") or ""

@@ -11,9 +11,8 @@ semantic distance, no FastMap space, no query cache, no WAL: exactness and
 caching live in the coordinator, durability in the checkpoint the shard
 booted from.
 
-:class:`ShardApp` exposes the same route-table surface as
-:class:`~repro.server.app.ServerApp`, so the same
-:class:`~repro.server.http.SemTreeServer` transport binds either.
+:class:`ShardApp` is a :class:`~repro.server.shell.ServiceShell` like the
+other tiers, so the same :class:`~repro.server.http.SemTreeServer` binds it.
 """
 
 from __future__ import annotations
@@ -21,22 +20,16 @@ from __future__ import annotations
 import threading
 import time
 from collections import Counter
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Tuple
 
-from repro import __version__
 from repro.core.distributed import scan_subtree_knn, scan_subtree_range
 from repro.core.knn import KSearchState
 from repro.core.point import LabeledPoint
-from repro.errors import SchemaError, ServerClosingError
-from repro.io.serialization import json_ready
-from repro.obs import export as obs_export
-from repro.obs.history import MetricsHistory
-from repro.obs.logging import SlowQueryLog
-from repro.obs.profile import SamplingProfiler, profile_endpoint
-from repro.obs.registry import MetricsRegistry
+from repro.errors import SchemaError
 from repro.obs.tracing import annotate_span, span
 from repro.server.bootstrap import ShardBoot
 from repro.server.schemas import parse_shard_scan_request, render_partition_scan
+from repro.server.shell import ServiceShell
 from repro.service.planner import QueryKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -45,7 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["ShardApp"]
 
 
-class ShardApp:
+class ShardApp(ServiceShell):
     """Endpoint logic of one partition shard.
 
     Parameters
@@ -54,32 +47,24 @@ class ShardApp:
         The partition subtree and its metadata, from
         :func:`~repro.server.bootstrap.load_shard` (CLI path) or
         :meth:`from_index` (in-process tests and benchmarks).
+
+    Remaining keyword arguments are :class:`~repro.server.shell.ServiceShell`'s
+    (a slow *scan* is a slow query from the shard's view).
     """
 
-    def __init__(self, boot: ShardBoot, *, registry: MetricsRegistry | None = None,
-                 slow_query_ms: Optional[float] = None,
-                 profiler: SamplingProfiler | None = None,
-                 history_interval: float = 5.0):
+    role = "shard"
+
+    def __init__(self, boot: ShardBoot, **shell_options):
         self.boot = boot
         self.partition_id = boot.partition_id
         self.root = boot.root
         self.config = boot.config
-        self._started = time.monotonic()
-        self._requests: Counter = Counter()
         self._nodes_visited = 0
         self._points_examined = 0
         self._scan_seconds = 0.0
         self._cost_totals: Counter = Counter()
         self._stats_lock = threading.Lock()
-        self._closed = False
-        # threshold_ms=None falls back to REPRO_SLOW_QUERY_MS, matching the
-        # serving tier — a slow *scan* is a slow query from the shard's view.
-        self.slow_queries = SlowQueryLog(slow_query_ms)
-        self.registry = registry or MetricsRegistry()
-        self._bind_registry()
-        self.profiler = profiler
-        self.history = MetricsHistory(
-            self.registry, interval=history_interval).start()
+        super().__init__(**shell_options)
 
     def _bind_registry(self) -> None:
         def locked(attribute: str):
@@ -88,8 +73,6 @@ class ShardApp:
                     return float(getattr(self, attribute))
             return read
 
-        obs_export.bind_runtime(self.registry, role="shard", version=__version__)
-        obs_export.bind_http_requests(self.registry, self.request_counts)
         self.registry.gauge(
             "repro_shard_points", "Points in this shard's partition subtree.",
         ).labels().set(float(self.boot.points))
@@ -114,11 +97,6 @@ class ShardApp:
             return {(name,): float(value)
                     for name, value in self._cost_totals.items()}
 
-    def request_counts(self) -> Dict[str, int]:
-        """Requests received so far, by endpoint (a stable read surface)."""
-        with self._stats_lock:
-            return dict(self._requests)
-
     @classmethod
     def from_index(cls, index: "SemTreeIndex", partition_id: str) -> "ShardApp":
         """Build a shard over one partition of an in-process built index.
@@ -140,7 +118,7 @@ class ShardApp:
         )
         return cls(boot)
 
-    # -- routing (consumed by repro.server.http) ----------------------------------------
+    # -- routing ------------------------------------------------------------------------
 
     def post_routes(self) -> Dict[str, Callable[[Any], Dict[str, Any]]]:
         return {
@@ -148,30 +126,8 @@ class ShardApp:
             "/v1/shard/range": self.handle_shard_range,
         }
 
-    def get_routes(self) -> Dict[str, Callable[[], Dict[str, Any]]]:
-        return {
-            "/v1/shard": self.shard_info,
-            "/v1/healthz": self.health,
-            "/v1/metrics": self.metrics,
-        }
-
-    def get_param_routes(self) -> Dict[str, Callable[[Dict[str, str]], Any]]:
-        return {
-            "/v1/debug/profile": self.debug_profile,
-            "/v1/history": self.history_payload,
-        }
-
-    def debug_profile(self, params: Dict[str, str]):
-        """``GET /v1/debug/profile`` — sample the shard process, render the profile."""
-        with self._stats_lock:
-            self._requests["debug_profile"] += 1
-        return profile_endpoint(params, self.profiler)
-
-    def history_payload(self, params: Dict[str, str]) -> Dict[str, Any]:
-        """``GET /v1/history`` — the shard's metrics history ring buffer."""
-        with self._stats_lock:
-            self._requests["history"] += 1
-        return self.history.payload()
+    def get_routes(self) -> Dict[str, Callable[[Dict[str, str]], Any]]:
+        return {**super().get_routes(), "/v1/shard": self.shard_info}
 
     # -- scan endpoints -----------------------------------------------------------------
 
@@ -211,17 +167,17 @@ class ShardApp:
             annotate_span(cost=cost_counters)
         elapsed = time.perf_counter() - started
         self._scan_histogram.labels(kind.value).observe(elapsed)
+        self._count(endpoint)
         with self._stats_lock:
-            self._requests[endpoint] += 1
             self._nodes_visited += state.nodes_visited
             self._points_examined += state.points_examined
             self._scan_seconds += elapsed
             for counter_name, value in cost_counters.items():
                 if value:
                     self._cost_totals[counter_name] += value
-        self.slow_queries.observe(kind=endpoint, latency_seconds=elapsed,
-                                  visited_partitions=(self.partition_id,),
-                                  cost=cost_counters)
+        self.slow_query_log.observe(kind=endpoint, latency_seconds=elapsed,
+                                    visited_partitions=(self.partition_id,),
+                                    cost=cost_counters)
         return render_partition_scan(
             self.partition_id, neighbours,
             nodes_visited=state.nodes_visited,
@@ -232,25 +188,23 @@ class ShardApp:
 
     # -- observability endpoints --------------------------------------------------------
 
-    def health(self) -> Dict[str, Any]:
+    def health(self, params: Dict[str, str]) -> Dict[str, Any]:
         """``GET /v1/healthz`` — liveness plus which partition this shard owns."""
-        with self._stats_lock:
-            self._requests["healthz"] += 1
+        self._count("healthz")
         return {
-            "status": "closing" if self._closed else "ok",
-            "role": "shard",
+            "status": "closing" if self.closed else "ok",
+            "role": self.role,
             "partition_id": self.partition_id,
             "points": self.boot.points,
             "generation": self.boot.generation,
-            "uptime_seconds": time.monotonic() - self._started,
+            "uptime_seconds": self.uptime_seconds,
         }
 
-    def shard_info(self) -> Dict[str, Any]:
+    def shard_info(self, params: Dict[str, str]) -> Dict[str, Any]:
         """``GET /v1/shard`` — what is being served: partition, shape, kernel."""
         self._check_open()
-        with self._stats_lock:
-            self._requests["shard"] += 1
-        return json_ready({
+        self._count("shard")
+        return {
             "partition_id": self.partition_id,
             "points": self.boot.points,
             "generation": self.boot.generation,
@@ -258,64 +212,27 @@ class ShardApp:
             "snapshot_partitions": list(self.boot.partition_ids),
             "dimensions": self.config.dimensions,
             "kernel": self.config.scan_kernel,
-        })
+        }
 
     def metrics(self) -> Dict[str, Any]:
         """``GET /v1/metrics`` — the shard metrics payload (one ``shard`` section)."""
+        requests = self.request_counts()
         with self._stats_lock:
-            self._requests["metrics"] += 1
-            requests = dict(self._requests)
-            scans = requests.get("shard_knn", 0) + requests.get("shard_range", 0)
             shard = {
                 "partition_id": self.partition_id,
                 "points": self.boot.points,
-                "scans": scans,
+                "scans": requests.get("shard_knn", 0) + requests.get("shard_range", 0),
                 "nodes_visited": self._nodes_visited,
                 "points_examined": self._points_examined,
                 "scan_seconds": self._scan_seconds,
                 "cost": dict(self._cost_totals),
                 "requests": requests,
-                "uptime_seconds": time.monotonic() - self._started,
+                "uptime_seconds": self.uptime_seconds,
             }
-        return json_ready({"shard": shard})
-
-    def metrics_prometheus(self) -> str:
-        """``GET /v1/metrics?format=prometheus`` — text exposition v0.0.4."""
-        with self._stats_lock:
-            self._requests["metrics"] += 1
-        return self.registry.render()
-
-    # -- lifecycle ----------------------------------------------------------------------
-
-    @property
-    def closed(self) -> bool:
-        """True once :meth:`close` has run; scan endpoints refuse further work."""
-        return self._closed
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise ServerClosingError("the shard is shutting down")
-
-    def close(self, *, checkpoint: bool | None = None) -> Optional[int]:
-        """Shut the shard down.  A shard owns no durable state: nothing to flush.
-
-        ``checkpoint`` is accepted (and ignored) so the HTTP transport can
-        close any app type uniformly.
-        """
-        self._closed = True
-        self.history.stop()
-        if self.profiler is not None:
-            self.profiler.stop()
-        return None
-
-    def __enter__(self) -> "ShardApp":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        return {"shard": shard}
 
     def __repr__(self) -> str:
         return (
             f"ShardApp(partition={self.partition_id!r}, points={self.boot.points}, "
-            f"closed={self._closed})"
+            f"closed={self.closed})"
         )

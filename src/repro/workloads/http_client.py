@@ -21,8 +21,7 @@ replayed blindly.
 :func:`generate_load` is the benchmark driver: N client threads, each with
 its own connection, replaying a shared list of request payloads against a
 live server and reporting aggregate QPS plus client-observed latency
-percentiles.  ``benchmarks/bench_server_throughput.py`` sweeps it over
-thread counts.
+percentiles.  ``python -m repro.workloads`` is its CLI face.
 """
 
 from __future__ import annotations

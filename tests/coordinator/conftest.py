@@ -16,7 +16,7 @@ import pytest
 
 from coordinator_corpus import build_corpus_index
 from repro.coordinator import HttpShardTransport, ShardTopology
-from repro.server import ShardApp, create_server
+from repro.server import ShardApp, SemTreeServer
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +42,7 @@ def shard_fleet(corpus_index):
     servers = {}
     for partition_id in data_partitions:
         app = ShardApp.from_index(index, partition_id)
-        servers[partition_id] = create_server(app).serve_background()
+        servers[partition_id] = SemTreeServer(app).serve_background()
     topology = ShardTopology({
         partition_id: server.url for partition_id, server in servers.items()
     })

@@ -7,7 +7,7 @@ import pytest
 from coordinator_corpus import assert_equivalent
 from repro.coordinator import CoordinatorApp, ShardedIndex
 from repro.errors import ServerError
-from repro.server import create_server
+from repro.server import SemTreeServer
 from repro.service.engine import QueryEngine
 from repro.service.planner import QuerySpec
 from repro.workloads import ServerClient
@@ -19,7 +19,7 @@ def coordinator(corpus_index, shard_fleet, make_transport):
     _, topology = shard_fleet
     view = ShardedIndex(index, make_transport(topology), scatter_workers=4)
     app = CoordinatorApp(view, workers=2)
-    server = create_server(app).serve_background()
+    server = SemTreeServer(app).serve_background()
     client = ServerClient(server.url)
     yield server, client, index, triples
     if not app.closed:

@@ -15,7 +15,7 @@ from repro.coordinator import CoordinatorApp, ShardedIndex, ShardTopology
 from repro.coordinator.transport import HttpShardTransport
 from repro.errors import ServerError, ShardError
 from repro.faults import FaultPlan, FaultSpec
-from repro.server import create_server, ShardApp
+from repro.server import SemTreeServer, ShardApp
 from repro.service.engine import QueryEngine
 from repro.service.planner import QuerySpec
 from repro.workloads import ServerClient
@@ -34,7 +34,7 @@ def replica_fleet(corpus_index):
     servers = {}
     for partition_id in data_partitions:
         servers[partition_id] = [
-            create_server(ShardApp.from_index(index, partition_id)).serve_background()
+            SemTreeServer(ShardApp.from_index(index, partition_id)).serve_background()
             for _ in range(2)
         ]
     topology = ShardTopology({
@@ -297,7 +297,7 @@ class TestCoordinatorEndToEnd:
         transport = make_failover_transport(topology)
         view = ShardedIndex(index, transport, scatter_workers=4)
         app = CoordinatorApp(view, workers=2)
-        server = create_server(app).serve_background()
+        server = SemTreeServer(app).serve_background()
         client = ServerClient(server.url)
         yield server, client, servers, index, triples, data_partitions
         if not app.closed:

@@ -1,0 +1,119 @@
+"""The service-shell contract, held for all three tiers at once.
+
+Server, shard and coordinator share one :class:`~repro.server.shell.ServiceShell`;
+these tests drive each tier through the same assertions, so a route or a
+lifecycle guarantee cannot exist on one tier and quietly go missing on
+another.
+"""
+
+from __future__ import annotations
+
+import sys
+import threading
+
+import pytest
+
+from repro.coordinator import CoordinatorApp, ShardedIndex
+from repro.errors import ServerClosingError, ServerError
+from repro.ingest import IngestingIndex
+from repro.obs.prometheus import parse_exposition
+from repro.server import SemTreeServer, ServerApp, ShardApp
+from repro.workloads import ServerClient
+
+TIERS = ["server", "shard", "coordinator"]
+
+
+@pytest.fixture
+def make_tier(corpus_index, shard_fleet, make_transport, tmp_path):
+    """``build(role) -> app`` for each tier, over the shared corpus index."""
+    index, _, data_partitions = corpus_index
+    _, topology = shard_fleet
+    apps = []
+
+    def build(role: str):
+        if role == "server":
+            app = ServerApp(IngestingIndex(index, tmp_path / "wal.jsonl"),
+                            background_compaction=False)
+        elif role == "shard":
+            app = ShardApp.from_index(index, data_partitions[0])
+        else:
+            app = CoordinatorApp(ShardedIndex(index, make_transport(topology)))
+        apps.append(app)
+        return app
+
+    yield build
+    for app in apps:
+        app.close()
+
+
+def _endpoint_counts(client: ServerClient) -> dict:
+    families = parse_exposition(client.metrics_prometheus())
+    return {sample.labels["endpoint"]: sample.value
+            for sample in families["repro_http_requests_total"].samples}
+
+
+@pytest.mark.parametrize("role", TIERS)
+def test_every_tier_answers_the_shell_routes(make_tier, role):
+    app = make_tier(role)
+    assert app.role == role
+    with SemTreeServer(app).serve_background() as server, \
+            ServerClient(server.url) as client:
+        before = _endpoint_counts(client)
+        assert client.health()["status"] == "ok"
+        assert isinstance(client.metrics(), dict)
+        assert "functions" in client.request(
+            "GET", "/v1/debug/profile?seconds=0.05")
+        assert "entries" in client.request("GET", "/v1/history")
+        with pytest.raises(ServerError) as excinfo:
+            client.request("GET", "/v1/metrics?format=xml")
+        assert excinfo.value.status == 400
+        after = _endpoint_counts(client)
+    assert after["healthz"] == before.get("healthz", 0) + 1
+    assert after["debug_profile"] == before.get("debug_profile", 0) + 1
+    assert after["history"] == before.get("history", 0) + 1
+    # One JSON read and the second exposition scrape; the rejected format
+    # is not a metrics request.
+    assert after["metrics"] == before["metrics"] + 2
+
+
+@pytest.mark.parametrize("role", TIERS)
+def test_concurrent_closes_tear_down_exactly_once(make_tier, role):
+    app = make_tier(role)
+    teardowns = []
+    history_stops = []
+    real_teardown, real_stop = app._teardown, app.history.stop
+    app._teardown = lambda checkpoint: (teardowns.append(checkpoint),
+                                        real_teardown(checkpoint))[1]
+    app.history.stop = lambda: (history_stops.append(1), real_stop())[1]
+
+    barrier = threading.Barrier(8)
+
+    def close():
+        barrier.wait(timeout=10.0)
+        app.close()
+
+    threads = [threading.Thread(target=close) for _ in range(8)]
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+    finally:
+        sys.setswitchinterval(switch_interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(teardowns) == 1
+    assert len(history_stops) == 1
+    assert app.closed
+
+    # Work endpoints refuse (503 on the wire); liveness still answers.
+    guarded = {
+        "server": lambda: app.handle_knn({}),
+        "shard": lambda: app.shard_info({}),
+        "coordinator": lambda: app.topology({}),
+    }[role]
+    with pytest.raises(ServerClosingError) as excinfo:
+        guarded()
+    assert role in str(excinfo.value)
+    assert app.health({})["status"] == "closing"

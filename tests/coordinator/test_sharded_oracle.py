@@ -17,7 +17,7 @@ import pytest
 from coordinator_corpus import assert_equivalent
 from repro.coordinator import ShardedIndex, ShardTopology
 from repro.errors import ShardError
-from repro.server import ShardApp, create_server
+from repro.server import ShardApp, SemTreeServer
 from repro.service.engine import QueryEngine
 from repro.service.planner import QuerySpec
 
@@ -127,7 +127,7 @@ def test_restarting_the_shard_restores_exactness(corpus_index, shard_fleet,
     servers[victim].close()
 
     # Relaunch the partition on a fresh ephemeral port, as an operator would.
-    replacement = create_server(ShardApp.from_index(index, victim)).serve_background()
+    replacement = SemTreeServer(ShardApp.from_index(index, victim)).serve_background()
     try:
         healed = dict(topology.shards)
         healed[victim] = replacement.url

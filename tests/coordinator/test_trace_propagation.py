@@ -16,7 +16,7 @@ import pytest
 
 from repro.coordinator import CoordinatorApp, ShardedIndex
 from repro.obs.prometheus import parse_exposition, validate_exposition
-from repro.server import create_server
+from repro.server import SemTreeServer
 from repro.workloads import ServerClient
 
 
@@ -26,7 +26,7 @@ def coordinator(corpus_index, shard_fleet, make_transport):
     _, topology = shard_fleet
     view = ShardedIndex(index, make_transport(topology), scatter_workers=4)
     app = CoordinatorApp(view, workers=2)
-    server = create_server(app).serve_background()
+    server = SemTreeServer(app).serve_background()
     client = ServerClient(server.url)
     yield server, client, triples, data_partitions
     if not app.closed:

@@ -1,7 +1,8 @@
 """Shared fixtures for the HTTP front-end test suite.
 
-Every end-to-end test boots a *real* server: a ``ThreadingHTTPServer`` on
-an ephemeral port of the loopback interface, talked to through the stdlib
+Every end-to-end test boots a *real* server: a
+:class:`~repro.server.http.SemTreeServer` on an ephemeral port of the
+loopback interface, talked to through the stdlib
 :class:`~repro.workloads.http_client.ServerClient`.
 """
 
@@ -13,7 +14,7 @@ from server_corpus import ALL_TRIPLES, BASE_TRIPLES
 from repro.core import SemTreeConfig, SemTreeIndex
 from repro.ingest import IngestingIndex
 from repro.requirements import build_requirement_distance, build_requirement_vocabularies
-from repro.server import ServerApp, create_server
+from repro.server import SemTreeServer, ServerApp
 from repro.server.bootstrap import vocabulary_hints
 from repro.workloads import ServerClient
 
@@ -47,53 +48,24 @@ def make_base(distance):
 def make_server(make_base, tmp_path):
     """Factory booting a live server; everything is torn down at test exit.
 
-    Returns ``start(**kwargs) -> (server, client)``; keyword arguments are
-    forwarded to :class:`ServerApp` (``compaction_threshold`` to the
-    :class:`IngestingIndex`).  The WAL lands in ``tmp_path/wal.jsonl`` and
-    the default checkpoint path is ``tmp_path/snapshot.json``.
+    Returns ``start(**kwargs) -> (server, client)``; ``server_kwargs`` are
+    forwarded to :class:`SemTreeServer` (timeouts, fault plan, wire cache),
+    ``compaction_threshold`` to the :class:`IngestingIndex`, every other
+    keyword argument to :class:`ServerApp`.  The WAL lands in
+    ``tmp_path/wal.jsonl`` and the default checkpoint path is
+    ``tmp_path/snapshot.json``.
     """
     started = []
 
     def start(*, compaction_threshold: int = 64, wal_name: str = "wal.jsonl",
-              **app_kwargs):
+              server_kwargs=None, **app_kwargs):
         live = IngestingIndex(make_base(), tmp_path / wal_name,
                               compaction_threshold=compaction_threshold)
         app_kwargs.setdefault("checkpoint_path", tmp_path / "snapshot.json")
         app = ServerApp(live, **app_kwargs)
-        server = create_server(app).serve_background()
+        server = SemTreeServer(app, **(server_kwargs or {})).serve_background()
         started.append(server)
         return server, ServerClient(server.url)
-
-    yield start
-    for server in started:
-        if not server.app.closed:
-            server.close(checkpoint=False)
-
-
-@pytest.fixture
-def make_transport_server(make_base, tmp_path):
-    """Like ``make_server``, but with an explicit transport choice.
-
-    The protocol-conformance tests (fuzz, slow clients, drain, wire
-    oracle) boot *both* transports side by side and compare them, so they
-    cannot rely on the environment-driven default ``make_server`` uses.
-    Returns ``start(transport, **kwargs) -> server``; ``server_kwargs``
-    are forwarded to :func:`create_server`, everything else to
-    :class:`ServerApp`.
-    """
-    started = []
-
-    def start(transport, *, compaction_threshold: int = 64,
-              server_kwargs=None, **app_kwargs):
-        tag = f"{transport}-{len(started)}"
-        live = IngestingIndex(make_base(), tmp_path / f"wal-{tag}.jsonl",
-                              compaction_threshold=compaction_threshold)
-        app_kwargs.setdefault("checkpoint_path", tmp_path / f"snapshot-{tag}.json")
-        app = ServerApp(live, **app_kwargs)
-        server = create_server(app, transport=transport, **(server_kwargs or {}))
-        server.serve_background()
-        started.append(server)
-        return server
 
     yield start
     for server in started:

@@ -15,7 +15,7 @@ from server_corpus import QUERY_TRIPLES
 from repro.errors import ReproError, ServerError
 from repro.faults import FaultPlan, FaultSpec
 from repro.ingest import IngestingIndex
-from repro.server import ServerApp, create_server
+from repro.server import ServerApp, SemTreeServer
 from repro.workloads import ServerClient
 
 
@@ -112,7 +112,7 @@ def make_faulty_server(make_base, tmp_path):
     def start(plan: FaultPlan):
         live = IngestingIndex(make_base(), tmp_path / "wal.jsonl")
         app = ServerApp(live, checkpoint_path=None, background_compaction=False)
-        server = create_server(app, fault_plan=plan).serve_background()
+        server = SemTreeServer(app, fault_plan=plan).serve_background()
         started.append(server)
         return server, ServerClient(server.url)
 
@@ -176,7 +176,7 @@ class TestHandlerInjection:
             '"kind": "http_5xx", "status": 599, "max_fires": 1}]')
         live = IngestingIndex(make_base(), tmp_path / "wal_env.jsonl")
         app = ServerApp(live, checkpoint_path=None, background_compaction=False)
-        server = create_server(app).serve_background()
+        server = SemTreeServer(app).serve_background()
         try:
             client = ServerClient(server.url)
             with pytest.raises(ServerError) as excinfo:

@@ -1,4 +1,4 @@
-"""Seeded HTTP-framing fuzzer: both transports, same wire behaviour.
+"""Seeded HTTP-framing fuzzer: the wire behaviour of the transport, pinned.
 
 Every case is raw bytes on a raw socket — no ``http.client`` to paper
 over framing mistakes.  The suite pins three properties for each
@@ -6,8 +6,8 @@ malformed (or deliberately torn) request:
 
 1. **No hangs, no crashes** — a response (or a clean close) arrives
    within the read timeout, whatever bytes were thrown at the parser.
-2. **Transport parity** — the threaded and async transports answer the
-   *same* status for the same bytes, because both run the shared
+2. **One verdict** — the same bytes earn the same status however the
+   socket happened to chunk them, because every verdict comes from the
    :mod:`repro.server.protocol` framing layer.
 3. **The server survives** — after every case the same listener still
    answers a well-formed request.
@@ -43,56 +43,54 @@ def _post(route: bytes, headers: bytes, body: bytes = b"") -> bytes:
             b"\r\n" + body)
 
 
-#: (name, payload bytes, statuses either transport may answer).  A case
-#: whose status set has one element pins the exact code; the parity check
-#: additionally requires both transports to pick the *same* element.
+#: (name, payload bytes, the status the server answers).
 CASES = [
     ("garbage_line",
-     b"\x16\x03\x01 this is not http\r\n\r\n", {400}),
+     b"\x16\x03\x01 this is not http\r\n\r\n", 400),
     ("missing_version",
-     b"GET /v1/healthz\r\n\r\n", {400}),
+     b"GET /v1/healthz\r\n\r\n", 400),
     ("bad_version",
-     b"GET /v1/healthz HTTP/2.0\r\n\r\n", {505}),
+     b"GET /v1/healthz HTTP/2.0\r\n\r\n", 505),
     ("unknown_method",
-     b"BREW /v1/knn HTTP/1.1\r\nHost: fuzz\r\n\r\n", {501}),
+     b"BREW /v1/knn HTTP/1.1\r\nHost: fuzz\r\n\r\n", 501),
     ("request_line_too_long",
      b"GET /" + b"a" * (MAX_REQUEST_LINE_BYTES + 512) + b" HTTP/1.1\r\n\r\n",
-     {414}),
+     414),
     ("oversized_headers",
      b"GET /v1/healthz HTTP/1.1\r\n" +
      b"".join(b"X-Pad-%d: %s\r\n" % (i, b"p" * 900) for i in range(80)) +
-     b"\r\n", {431}),
+     b"\r\n", 431),
     ("header_without_colon",
-     b"GET /v1/healthz HTTP/1.1\r\nnot-a-header\r\n\r\n", {400}),
+     b"GET /v1/healthz HTTP/1.1\r\nnot-a-header\r\n\r\n", 400),
     ("bad_content_length",
      _post(b"/v1/knn", b"Content-Type: application/json\r\n"
-           b"Content-Length: banana\r\n"), {411}),
+           b"Content-Length: banana\r\n"), 411),
     ("negative_content_length",
      _post(b"/v1/knn", b"Content-Type: application/json\r\n"
-           b"Content-Length: -5\r\n"), {411}),
+           b"Content-Length: -5\r\n"), 411),
     ("huge_content_length",
      _post(b"/v1/knn", b"Content-Type: application/json\r\n"
-           b"Content-Length: %d\r\n" % (MAX_BODY_BYTES + 1)), {413}),
+           b"Content-Length: %d\r\n" % (MAX_BODY_BYTES + 1)), 413),
     ("chunked_body",
      _post(b"/v1/knn", b"Content-Type: application/json\r\n"
-           b"Transfer-Encoding: chunked\r\n"), {501}),
+           b"Transfer-Encoding: chunked\r\n"), 501),
     ("wrong_content_type",
      _post(b"/v1/knn", b"Content-Type: text/plain\r\nContent-Length: 2\r\n"),
-     {415}),
+     415),
     ("unknown_route",
      _post(b"/v1/nothing-here", b"Content-Type: application/json\r\n"
-           b"Content-Length: 2\r\n"), {404}),
+           b"Content-Length: 2\r\n"), 404),
     ("method_not_allowed",
-     b"GET /v1/knn HTTP/1.1\r\nHost: fuzz\r\n\r\n", {405}),
+     b"GET /v1/knn HTTP/1.1\r\nHost: fuzz\r\n\r\n", 405),
     ("bad_json_body",
      _post(b"/v1/knn", b"Content-Type: application/json\r\n"
-           b"Content-Length: 5\r\n", b"{nope"), {400}),
+           b"Content-Length: 5\r\n", b"{nope"), 400),
     ("valid_health",
      b"GET /v1/healthz HTTP/1.1\r\nHost: fuzz\r\nConnection: close\r\n\r\n",
-     {200}),
+     200),
     ("valid_knn",
      _post(b"/v1/knn", b"Content-Type: application/json\r\n"
-           b"Content-Length: %d\r\n" % len(_KNN_BODY), _KNN_BODY), {200}),
+           b"Content-Length: %d\r\n" % len(_KNN_BODY), _KNN_BODY), 200),
 ]
 
 
@@ -180,38 +178,25 @@ def _exchange(address: tuple, payload: bytes, rng: random.Random) -> tuple:
 
 
 @pytest.fixture
-def transport_pair(make_transport_server):
-    """One live server per transport, fuzzed side by side."""
-    return {name: make_transport_server(name)
-            for name in ("threaded", "async")}
+def server(make_server):
+    """One live server, fuzzed."""
+    return make_server()[0]
 
 
 class TestFramingFuzz:
     @pytest.mark.parametrize("name,payload,expected",
                              CASES, ids=[c[0] for c in CASES])
-    def test_case_parity_and_liveness(self, transport_pair, name, payload,
-                                      expected):
+    def test_case_status_and_liveness(self, server, name, payload, expected):
         rng = random.Random(SEED ^ zlib.crc32(name.encode()))
-        statuses = {}
-        for transport, server in transport_pair.items():
-            seen = set()
-            for _ in range(3):  # three seeded chunkings of the same bytes
-                status, _ = _exchange(server.server_address, payload, rng)
-                seen.add(status)
-            assert len(seen) == 1, \
-                f"{transport} answered {seen} for {name}: chunking changed " \
-                f"the status"
-            statuses[transport] = seen.pop()
-            assert statuses[transport] in expected, \
-                f"{transport} answered {statuses[transport]} for {name}"
-        assert statuses["threaded"] == statuses["async"], \
-            f"transports disagree on {name}: {statuses}"
+        for _ in range(3):  # three seeded chunkings of the same bytes
+            status, _ = _exchange(server.server_address, payload, rng)
+            assert status == expected, \
+                f"answered {status} for {name}, expected {expected}"
+        with ServerClient(server.url) as client:
+            assert client.health()["status"] == "ok"
 
-    @pytest.mark.parametrize("transport", ["threaded", "async"])
-    def test_random_byte_storm_never_hangs(self, make_transport_server,
-                                           transport):
+    def test_random_byte_storm_never_hangs(self, server):
         """200 seeded random-byte preambles: every one answers or closes."""
-        server = make_transport_server(transport)
         rng = random.Random(SEED)
         for trial in range(200):
             blob = bytes(rng.randrange(256) for _ in range(rng.randint(1, 64)))
@@ -226,11 +211,8 @@ class TestFramingFuzz:
         with ServerClient(server.url) as client:
             assert client.health()["status"] == "ok"
 
-    @pytest.mark.parametrize("transport", ["threaded", "async"])
-    def test_early_close_is_dropped_silently(self, make_transport_server,
-                                             transport):
+    def test_early_close_is_dropped_silently(self, server):
         """A peer vanishing mid-request must not wedge the listener."""
-        server = make_transport_server(transport)
         for partial in (b"", b"GET /v1/he", b"GET /v1/healthz HTTP/1.1\r\nHo",
                         _post(b"/v1/knn",
                               b"Content-Type: application/json\r\n"
@@ -243,13 +225,10 @@ class TestFramingFuzz:
         with ServerClient(server.url) as client:
             assert client.health()["status"] == "ok"
 
-    @pytest.mark.parametrize("transport", ["threaded", "async"])
-    def test_pipelined_requests_are_rejected(self, make_transport_server,
-                                             transport):
+    def test_pipelined_requests_are_rejected(self, server):
         """Two requests in one write: a 400 rejection, or — when the
         server dispatched the first before the second arrived — two
         ordinary 200s.  Never anything in between, and never a hang."""
-        server = make_transport_server(transport)
         request = b"GET /v1/healthz HTTP/1.1\r\nHost: fuzz\r\n\r\n"
         rejected = served = 0
         for _ in range(10):

@@ -7,7 +7,7 @@ import pytest
 from server_corpus import (ACTORS, BASE_TRIPLES, INSERT_TRIPLES, QUERY_TRIPLES,
                            canonical)
 from repro.core import SemTreeConfig, SemTreeIndex
-from repro.server import ServerApp, create_server, derive_distance, recover_index
+from repro.server import ServerApp, SemTreeServer, derive_distance, recover_index
 from repro.server.bootstrap import harvest_triples, vocabulary_hints
 from repro.workloads import ServerClient
 
@@ -70,7 +70,7 @@ class TestKillAndRecover:
         server.close()  # graceful: fold, checkpoint, truncate WAL
 
         recovered = recover_index(tmp_path / "snapshot.json", tmp_path / "wal.jsonl")
-        with create_server(ServerApp(recovered, background_compaction=False)) as reborn:
+        with SemTreeServer(ServerApp(recovered, background_compaction=False)) as reborn:
             reborn.serve_background()
             reborn_client = ServerClient(reborn.url)
             oracle = oracle_index(distance, INSERT_TRIPLES)
@@ -103,7 +103,7 @@ class TestKillAndRecover:
         recovered = recover_index(tmp_path / "snapshot.json", tmp_path / "wal.jsonl")
         app = ServerApp(recovered, checkpoint_path=tmp_path / "snapshot.json",
                         background_compaction=False)
-        with create_server(app) as reborn:
+        with SemTreeServer(app) as reborn:
             reborn.serve_background()
             reborn_client = ServerClient(reborn.url)
             response = reborn_client.insert(INSERT_TRIPLES[1])

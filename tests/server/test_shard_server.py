@@ -7,7 +7,7 @@ import pytest
 from server_corpus import BASE_TRIPLES
 from repro.errors import IndexError_, PartitionError, ServerError
 from repro.ingest import IngestingIndex
-from repro.server import create_server, ShardApp, load_shard
+from repro.server import SemTreeServer, ShardApp, load_shard
 from repro.server.__main__ import build_server
 from repro.workloads import ServerClient
 
@@ -29,7 +29,7 @@ def shard(make_base):
     index = make_base()
     partition_id = next(p.partition_id for p in index.tree.partitions
                         if p.point_count > 0)
-    server = create_server(ShardApp.from_index(index, partition_id)).serve_background()
+    server = SemTreeServer(ShardApp.from_index(index, partition_id)).serve_background()
     yield index, partition_id, server, ServerClient(server.url)
     if not server.app.closed:
         server.close()
@@ -159,7 +159,7 @@ class TestSnapshotBoot:
         index, snapshot = checkpoint
         partition_id = next(p.partition_id for p in index.tree.partitions
                             if p.point_count > 0)
-        server = create_server(ShardApp(load_shard(snapshot, partition_id)))
+        server = SemTreeServer(ShardApp(load_shard(snapshot, partition_id)))
         with server:
             server.serve_background()
             client = ServerClient(server.url)
@@ -193,8 +193,8 @@ class TestSnapshotBoot:
         server, _ = build_server(["--snapshot", str(snapshot),
                                   "--shard", "P0", "--slow-query-ms", "5"])
         try:
-            assert server.app.slow_queries.enabled
-            assert server.app.slow_queries.threshold_ms == 5.0
+            assert server.app.slow_query_log.enabled
+            assert server.app.slow_query_log.threshold_ms == 5.0
         finally:
             server.close()
 
@@ -203,7 +203,7 @@ class TestSnapshotBoot:
         monkeypatch.setenv("REPRO_SLOW_QUERY_MS", "7.5")
         server, _ = build_server(["--snapshot", str(snapshot), "--shard", "P0"])
         try:
-            assert server.app.slow_queries.threshold_ms == 7.5
+            assert server.app.slow_query_log.threshold_ms == 7.5
         finally:
             server.close()
 

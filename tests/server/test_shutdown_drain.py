@@ -1,11 +1,11 @@
 """The drain contract, pinned: ``close()`` finishes in-flight work first.
 
-``SemTreeServer.close`` / ``AsyncSemTreeServer.close`` promise that every
+``SemTreeServer.close`` promises that every
 request whose bytes arrived before shutdown completes fully — handler
 runs, response written back — before the app (engine, compactor, WAL) is
 torn down and the shutdown checkpoint is cut.  These tests hold a request
 in flight with a latency fault and close the server under it, in-process
-on both transports and over a real SIGTERM to the CLI.
+and over a real SIGTERM to the CLI.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.core import SemTreeConfig, SemTreeIndex
 from repro.faults import FaultPlan, FaultSpec
 from repro.ingest import IngestingIndex
 from repro.requirements import build_requirement_distance, build_requirement_vocabularies
-from repro.server import ServerApp, create_server
+from repro.server import SemTreeServer, ServerApp
 from repro.server.bootstrap import vocabulary_hints
 from repro.workloads import ServerClient
 
@@ -32,12 +32,10 @@ SLOW_KNN = [FaultSpec(operation="handle", target="/v1/knn",
                       kind="latency", latency=0.8, max_fires=1)]
 
 
-@pytest.mark.parametrize("transport", ["threaded", "async"])
 class TestInProcessDrain:
-    def test_close_waits_for_the_in_flight_response(
-            self, make_transport_server, transport):
-        server = make_transport_server(
-            transport, server_kwargs={"fault_plan": FaultPlan(SLOW_KNN)})
+    def test_close_waits_for_the_in_flight_response(self, make_server):
+        server, _ = make_server(
+            server_kwargs={"fault_plan": FaultPlan(SLOW_KNN)})
         outcome = {}
 
         def slow_request():
@@ -60,9 +58,8 @@ class TestInProcessDrain:
         assert outcome["finished_at"] <= closed_at
         assert wal_seq is not None and wal_seq >= 1  # the insert is covered
 
-    def test_new_connections_are_refused_after_close(
-            self, make_transport_server, transport):
-        server = make_transport_server(transport)
+    def test_new_connections_are_refused_after_close(self, make_server):
+        server, _ = make_server()
         address = server.server_address
         server.close(checkpoint=False)
         with pytest.raises(OSError):
@@ -85,15 +82,13 @@ class TestSigtermDrain:
         live = IngestingIndex(base, root / "wal.jsonl")
         app = ServerApp(live, checkpoint_path=root / "snapshot.json",
                         background_compaction=False)
-        server = create_server(app).serve_background()
+        server = SemTreeServer(app).serve_background()
         with ServerClient(server.url) as client:
             client.insert_many(INSERT_TRIPLES[:2])
         server.close()
         return root
 
-    @pytest.mark.parametrize("transport", ["threaded", "async"])
-    def test_sigterm_mid_request_finishes_then_checkpoints(
-            self, checkpoint, transport):
+    def test_sigterm_mid_request_finishes_then_checkpoints(self, checkpoint):
         env = dict(os.environ)
         env["REPRO_FAULTS"] = json.dumps(
             [spec.to_dict() for spec in SLOW_KNN])
@@ -101,8 +96,8 @@ class TestSigtermDrain:
             ["-m", "repro.server",
              "--snapshot", str(checkpoint / "snapshot.json"),
              "--wal", str(checkpoint / "wal.jsonl"),
-             "--port", "0", "--transport", transport, "--quiet"],
-            role=f"{transport} server", env=env)
+             "--port", "0", "--quiet"],
+            role="server", env=env)
         outcome = {}
         try:
             def slow_request():

@@ -2,11 +2,9 @@
 
 A correct transport treats a slow peer as that peer's problem: its
 connection is strung along inside bounded memory and eventually reaped,
-while every other connection keeps being served at full speed.  The
-threaded transport gets this from its per-read socket timeout (one
-misbehaving peer costs one parked thread); the event-loop transport from
-its idle/request deadlines (one misbehaving peer costs one selector
-registration).  Both are pinned here.
+while every other connection keeps being served at full speed.  The event
+loop gets this from its idle/request deadlines (one misbehaving peer costs
+one selector registration, never a thread); pinned here.
 """
 
 from __future__ import annotations
@@ -14,8 +12,6 @@ from __future__ import annotations
 import json
 import socket
 import time
-
-import pytest
 
 from server_corpus import BASE_TRIPLES
 from repro.faults import FaultPlan, FaultSpec
@@ -62,23 +58,24 @@ def _read_full_response(sock: socket.socket, timeout: float = 15.0) -> tuple:
 
 
 class TestSlowloris:
-    def test_threaded_reaps_a_stalled_sender(self, make_transport_server):
-        """No bytes for longer than the read timeout → silent close."""
-        server = make_transport_server(
-            "threaded", server_kwargs={"request_timeout": 0.3})
+    def test_reaps_a_stalled_sender(self, make_server):
+        """Headers sent, then the body stalls: no bytes for longer than the
+        idle timeout → silent close (the pool never sees the request)."""
+        server, _ = make_server(server_kwargs={"idle_timeout": 0.3})
         with socket.create_connection(server.server_address, timeout=5) as sock:
-            sock.sendall(b"GET /v1/healthz HT")  # ... and then nothing
+            sock.sendall(KNN_REQUEST_HEAD + b"Content-Length: 100\r\n\r\n"
+                         + b'{"tri')  # ... and then nothing
             assert _recv_closed_within(sock, 5.0), \
-                "threaded transport kept a stalled sender past its timeout"
+                "the transport kept a stalled sender past its idle timeout"
         with ServerClient(server.url) as client:
             assert client.health()["status"] == "ok"
+            assert "knn" not in client.metrics()["server"]["requests"]
 
-    def test_async_reaps_a_dripping_sender(self, make_transport_server):
+    def test_reaps_a_dripping_sender(self, make_server):
         """A drip that always beats the idle timeout still hits the
         whole-request deadline — progress alone must not pin a socket."""
-        server = make_transport_server(
-            "async", server_kwargs={"request_timeout": 1.0,
-                                    "idle_timeout": 30.0})
+        server, _ = make_server(server_kwargs={"request_timeout": 1.0,
+                                               "idle_timeout": 30.0})
         request = b"GET /v1/healthz HTTP/1.1\r\nHost: drip\r\n" + \
                   b"X-Drip: " + b"d" * 64 + b"\r\n\r\n"
         deadline = time.monotonic() + 10.0
@@ -94,24 +91,20 @@ class TestSlowloris:
                 if time.monotonic() > deadline:
                     break
             assert closed or _recv_closed_within(sock, 5.0), \
-                "async transport let a dripping sender outlive its deadline"
+                "the transport let a dripping sender outlive its deadline"
         with ServerClient(server.url) as client:
             assert client.health()["status"] == "ok"
 
-    def test_async_reaps_an_idle_connection(self, make_transport_server):
-        server = make_transport_server(
-            "async", server_kwargs={"idle_timeout": 0.3})
+    def test_reaps_an_idle_connection(self, make_server):
+        server, _ = make_server(server_kwargs={"idle_timeout": 0.3})
         with socket.create_connection(server.server_address, timeout=5) as sock:
             assert _recv_closed_within(sock, 5.0), \
-                "async transport kept an idle connection past idle_timeout"
+                "the transport kept an idle connection past idle_timeout"
 
-    @pytest.mark.parametrize("transport", ["threaded", "async"])
-    def test_victim_requests_are_served_during_the_attack(
-            self, make_transport_server, transport):
+    def test_victim_requests_are_served_during_the_attack(self, make_server):
         """Four slowloris connections; a well-behaved client sails through."""
-        kwargs = ({"request_timeout": 2.0} if transport == "threaded"
-                  else {"request_timeout": 2.0, "idle_timeout": 2.0})
-        server = make_transport_server(transport, server_kwargs=kwargs)
+        server, _ = make_server(server_kwargs={"request_timeout": 2.0,
+                                               "idle_timeout": 2.0})
         attackers = [socket.create_connection(server.server_address, timeout=5)
                      for _ in range(4)]
         try:
@@ -130,12 +123,10 @@ class TestSlowloris:
 
 
 class TestBoundedBuffers:
-    @pytest.mark.parametrize("transport", ["threaded", "async"])
-    def test_oversized_headers_are_rejected_mid_stream(
-            self, make_transport_server, transport):
+    def test_oversized_headers_are_rejected_mid_stream(self, make_server):
         """The 431 arrives long before the attacker finishes sending —
         the transport bounds its read buffer instead of hoarding bytes."""
-        server = make_transport_server(transport)
+        server, _ = make_server()
         chunk = b"X-Flood: " + b"f" * 4087 + b"\r\n"  # 4 KiB per header line
         sent = 0
         with socket.create_connection(server.server_address, timeout=10) as sock:
@@ -161,12 +152,8 @@ class TestBoundedBuffers:
             assert sent < 256 * len(chunk), \
                 "the server read the whole flood before answering"
 
-    @pytest.mark.parametrize("transport", ["threaded", "async"])
-    def test_open_connections_gauge_tracks_reaping(
-            self, make_transport_server, transport):
-        kwargs = ({"request_timeout": 0.5} if transport == "threaded"
-                  else {"idle_timeout": 0.5})
-        server = make_transport_server(transport, server_kwargs=kwargs)
+    def test_open_connections_gauge_tracks_reaping(self, make_server):
+        server, _ = make_server(server_kwargs={"idle_timeout": 0.5})
         with ServerClient(server.url) as client:
             def gauge() -> float:
                 families = parse_exposition(client.metrics_prometheus())
@@ -189,16 +176,14 @@ class TestBoundedBuffers:
 
 
 class TestStalledReader:
-    @pytest.mark.parametrize("transport", ["threaded", "async"])
     def test_dripped_response_does_not_block_other_connections(
-            self, make_transport_server, transport):
+            self, make_server):
         """One response dripping via a slow_drip fault; a second client's
         requests complete while the first is still being strung along."""
         plan = FaultPlan([FaultSpec(operation="handle", target="/v1/knn",
                                     kind="slow_drip", latency=1.2,
                                     max_fires=1)])
-        server = make_transport_server(
-            transport, server_kwargs={"fault_plan": plan})
+        server, _ = make_server(server_kwargs={"fault_plan": plan})
         request = (KNN_REQUEST_HEAD +
                    b"Content-Length: %d\r\n\r\n" % len(_knn_body()) +
                    _knn_body())

@@ -3,10 +3,10 @@
 A seeded random workload of interleaved inserts, k-NN and range queries
 runs against a live HTTP server while an in-process
 :class:`~repro.core.SemTreeIndex` oracle applies the same operations.
-Every query's wire answer must equal the oracle's, on both transports —
-so the framing layer, the dispatch path, the engine result cache *and*
-the async transport's wire-byte cache (enabled here precisely to prove
-its insert invalidation) are all transparent to correctness.
+Every query's wire answer must equal the oracle's — so the framing layer,
+the dispatch path, the engine result cache *and* the transport's wire-byte
+cache (enabled here precisely to prove its insert invalidation) are all
+transparent to correctness.
 """
 
 from __future__ import annotations
@@ -22,11 +22,8 @@ SEED = 20260808
 STEPS = 120
 
 
-@pytest.mark.parametrize("transport", ["threaded", "async"])
-def test_random_workload_matches_in_process_oracle(
-        make_transport_server, make_base, transport):
-    server_kwargs = {"wire_cache": True} if transport == "async" else {}
-    server = make_transport_server(transport, server_kwargs=server_kwargs)
+def test_random_workload_matches_in_process_oracle(make_server, make_base):
+    server, _ = make_server(server_kwargs={"wire_cache": True})
     oracle = make_base()  # the identical deterministic base index
     rng = random.Random(SEED)
     pool = list(INSERT_TRIPLES + STREAM_TRIPLES)
@@ -59,21 +56,17 @@ def test_random_workload_matches_in_process_oracle(
                     f"range({triple}, {radius}) diverged after {inserts} inserts"
                 queries += 1
     assert queries > 50 and inserts > 10  # the seed exercised both paths
-    if transport == "async":
-        stats = server.wire_cache_stats()
-        # The workload repeats queries, so the byte cache genuinely served
-        # hits — meaning the equality above also proves its invalidation.
-        assert stats["hits"] > 0
-        assert stats["misses"] > 0
+    stats = server.wire_cache_stats()
+    # The workload repeats queries, so the byte cache genuinely served
+    # hits — meaning the equality above also proves its invalidation.
+    assert stats["hits"] > 0
+    assert stats["misses"] > 0
 
 
-@pytest.mark.parametrize("transport", ["threaded", "async"])
-def test_identical_queries_stay_identical_across_inserts(
-        make_transport_server, transport):
+def test_identical_queries_stay_identical_across_inserts(make_server):
     """The hot-loop shape wire caches get wrong first: ask, insert a
     point that changes the answer, ask the same bytes again."""
-    server_kwargs = {"wire_cache": True} if transport == "async" else {}
-    server = make_transport_server(transport, server_kwargs=server_kwargs)
+    server, _ = make_server(server_kwargs={"wire_cache": True})
     with ServerClient(server.url) as client:
         before = client.knn(INSERT_TRIPLES[0], 3)
         repeat = client.knn(INSERT_TRIPLES[0], 3)

@@ -51,7 +51,7 @@ from repro.requirements import (
     build_requirement_distance,
     build_requirement_vocabularies,
 )
-from repro.server import create_server, ServerApp
+from repro.server import SemTreeServer, ServerApp
 from repro.server.bootstrap import vocabulary_hints
 from repro.workloads import ServerClient, query_payloads
 
@@ -103,7 +103,7 @@ def oracle_answers(index, tmp_dir: Path, workloads) -> List[List[List[float]]]:
     live = IngestingIndex(index, tmp_dir / "oracle-wal.jsonl")
     app = ServerApp(live, workers=2, background_compaction=False)
     answers = []
-    with create_server(app).serve_background() as server:
+    with SemTreeServer(app).serve_background() as server:
         with ServerClient(server.url) as client:
             for payloads in workloads:
                 answers.append([

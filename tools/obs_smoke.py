@@ -46,7 +46,7 @@ from repro.requirements import (
     build_requirement_vocabularies,
 )
 from repro.core import SemTreeConfig, SemTreeIndex
-from repro.server import create_server, ServerApp
+from repro.server import SemTreeServer, ServerApp
 
 CORE_FAMILIES = {
     "repro_build_info",
@@ -101,7 +101,7 @@ def build_server(tmp_dir: Path):
     live = IngestingIndex(index, tmp_dir / "wal.jsonl")
     app = ServerApp(live, workers=2,
                     checkpoint_path=tmp_dir / "snapshot.json")
-    return create_server(app).serve_background(), triples
+    return SemTreeServer(app).serve_background(), triples
 
 
 def fetch(url: str, *, headers: dict | None = None):
