@@ -1,6 +1,6 @@
 """Ablation — the (α, β, γ) weights of the semantic distance (Eq. 1).
 
-DESIGN.md calls out the distance weights as a design decision: the case
+docs/reproduction.md lists the distance weights as a design decision: the case
 study uses α = γ = 0.4, β = 0.2 (subject and object dominate; the predicate
 carries the antinomy signal).  This ablation sweeps several weight settings
 and reports the effectiveness (precision/recall at K = 3) of the

@@ -9,7 +9,8 @@ R; then, when K increases, R grows up and P decreases".
 
 The reproduction uses the synthetic requirements corpus, the ground-truth
 oracle (annotators replaced by the formal inconsistency definition with
-spelling-variant matching — see DESIGN.md) and exactly the same protocol.
+spelling-variant matching — see docs/reproduction.md) and exactly the same
+protocol.
 """
 
 from __future__ import annotations

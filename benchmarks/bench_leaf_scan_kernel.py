@@ -17,7 +17,8 @@ tie-insensitive-identical between the kernels as part of the run.
 
 Quick mode (``LEAF_SCAN_QUICK=1``, used by the CI perf-smoke job) shrinks
 the sweep and only asserts the vectorized kernel is not slower at
-``bucket_size >= 16``; the full report additionally asserts the >= 2x
+``bucket_size >= 16``; its report goes to pytest's ``tmp_path``, never over
+the committed full sweep.  The full report additionally asserts the >= 2x
 speedup at ``bucket_size >= 16``, dims 8-16 that motivated the kernel layer.
 """
 
@@ -174,7 +175,7 @@ def test_benchmark_tree_knn(benchmark, kernel):
 
 # -- the report ---------------------------------------------------------------------------
 
-def test_report_leaf_scan_kernel(results_dir):
+def test_report_leaf_scan_kernel(results_dir, tmp_path):
     from repro.evaluation import Experiment
 
     experiment = Experiment(
@@ -213,7 +214,7 @@ def test_report_leaf_scan_kernel(results_dir):
             )
             experiment.record(f"dim{dim}", float(bucket_size), **metrics)
 
-    write_report(results_dir, experiment, [
+    write_report(tmp_path if QUICK else results_dir, experiment, [
         "leaf_cold_speedup", "leaf_warm_speedup",
         "tree_knn_speedup", "tree_range_speedup",
         "tree_knn_scalar_us", "tree_knn_numpy_us",

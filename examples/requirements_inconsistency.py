@@ -33,7 +33,7 @@ from repro.requirements import (
 
 def main() -> None:
     # 1. Generate the synthetic corpus (a scaled-down stand-in for the
-    #    proprietary CIRA corpus; see DESIGN.md, substitution table).
+    #    proprietary CIRA corpus; see docs/reproduction.md, substitution table).
     generator_config = GeneratorConfig(
         documents=12, requirements_per_document=8, sentences_per_requirement=3,
         actors=25, inconsistency_rate=0.3, seed=42,

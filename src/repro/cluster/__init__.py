@@ -1,7 +1,7 @@
 """Simulated distributed environment: compute nodes, message bus, cost clock.
 
 This package is the reproduction's substitute for the paper's MPJ-based
-cluster (see DESIGN.md, substitution table)."""
+cluster (see docs/reproduction.md, substitution table)."""
 
 from repro.cluster.clock import CostSnapshot, SimulatedClock
 from repro.cluster.cluster import SimulatedCluster

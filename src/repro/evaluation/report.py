@@ -2,8 +2,8 @@
 
 The benchmark harness prints, for every figure of the paper, the same rows
 or series the paper plots.  Since the environment has no plotting stack, the
-output is an aligned text table (one column per series) that can be pasted
-into EXPERIMENTS.md or fed to any plotting tool later.
+output is an aligned text table (one column per series); the committed
+tables are discussed in docs/reproduction.md.
 """
 
 from __future__ import annotations

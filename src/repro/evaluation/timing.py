@@ -1,6 +1,6 @@
 """Timing utilities for the efficiency experiments.
 
-Two notions of time coexist in the reproduction (DESIGN.md):
+Two notions of time coexist in the reproduction (docs/reproduction.md):
 
 * **wall-clock time** of the single-process execution, measured with
   :class:`WallClockTimer`;

@@ -3,7 +3,7 @@
 The paper's evaluation corpus — "several hundreds of documents from which
 about 100,000 triples were extracted", written at CIRA about on-board
 software — is proprietary.  This generator produces a synthetic corpus with
-the same structure (see DESIGN.md, substitution table):
+the same structure (see docs/reproduction.md, substitution table):
 
 * a set of Actors (``OBSW001`` … software components, ``HWD001`` … hardware
   devices);

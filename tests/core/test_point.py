@@ -1,5 +1,6 @@
 """Tests for labeled points and Euclidean distances."""
 
+import math
 
 import numpy as np
 import pytest
@@ -63,6 +64,14 @@ class TestDistances:
             b = (b * len(a))[:len(a)]
         assert euclidean_distance(a, b) >= 0.0
         assert euclidean_distance(a, b) == pytest.approx(euclidean_distance(b, a))
+
+    @given(coords, coords)
+    def test_matches_the_sum_of_squares_definition(self, a, b):
+        """The ``math.dist`` fast path against the per-pair formula it replaced."""
+        b = (b * len(a))[:len(a)]
+        squared = sum((x - y) * (x - y) for x, y in zip(a, b))
+        assert euclidean_distance(a, b) == pytest.approx(math.sqrt(squared))
+        assert squared_euclidean_distance(a, b) == pytest.approx(squared)
 
     @given(coords)
     def test_identity(self, a):

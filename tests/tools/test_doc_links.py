@@ -37,6 +37,23 @@ class TestLinkExtraction:
         page.write_text("```\n[not a link](missing.md)\n```\n[real](real.md)\n")
         assert list(check_doc_links.link_targets(page)) == [(4, "link", "real.md")]
 
+    def test_python_mentions_found(self, tmp_path):
+        module = tmp_path / "module.py"
+        module.write_text(
+            '"""See DESIGN.md, substitution table, and docs/server.md."""\n'
+            "digest = 'archive.md5'  # pasted into EXPERIMENTS.md\n"
+        )
+        assert list(check_doc_links.python_mentions(module)) == [
+            (1, "mention", "DESIGN.md"),
+            (1, "mention", "docs/server.md"),
+            (2, "mention", "EXPERIMENTS.md"),
+        ]
+
+    def test_python_sources_of_every_documented_tree_are_scanned(self):
+        trees = {path.relative_to(check_doc_links.REPO_ROOT).parts[0]
+                 for path in check_doc_links.python_files()}
+        assert trees == {"src", "benchmarks", "examples"}
+
     def test_fragment_stripped_on_resolve(self, tmp_path):
         page = tmp_path / "page.md"
         page.write_text("x")

@@ -2,14 +2,18 @@
 """Fail on broken intra-repository links in the documentation.
 
 Scans ``README.md`` and ``docs/**/*.md`` for Markdown links and inline
-references and checks that every *local* target exists:
+references, and the Python sources under ``src/``, ``benchmarks/`` and
+``examples/`` for ``*.md`` mentions, and checks that every *local* target
+exists:
 
 * ``[text](target)`` Markdown links — ``http(s)://`` and ``mailto:`` targets
   are skipped, ``#fragment`` suffixes are stripped, and targets are resolved
   relative to the file that mentions them;
 * `` `path` `` inline-code references that look like repository paths
   (``docs/*.md``, ``examples/*.py``, ``benchmarks/*.py``, ``tools/*.py``) —
-  the documentation's habitual way of pointing at code.
+  the documentation's habitual way of pointing at code;
+* ``NAME.md`` / ``docs/name.md`` mentions in a Python file's docstrings and
+  comments — the code's habitual way of pointing at documentation.
 
 Exit status 0 when everything resolves, 1 with one line per broken link —
 which is what the CI docs job keys off.  Stdlib only; run from anywhere::
@@ -35,6 +39,12 @@ CODE_REFERENCE = re.compile(
     r"\.(?:md|py|json|txt|yml))`"
 )
 
+#: ``DESIGN.md`` / ``docs/server.md`` mentions anywhere in a Python source line.
+PYTHON_MENTION = re.compile(r"(?<![\w./-])((?:[\w.-]+/)*[\w-]+\.md)\b")
+
+#: Directories whose Python sources are scanned for ``*.md`` mentions.
+PYTHON_ROOTS = ("src", "benchmarks", "examples")
+
 SKIP_SCHEMES = ("http://", "https://", "mailto:", "ftp://")
 
 
@@ -44,6 +54,11 @@ def documentation_files() -> List[pathlib.Path]:
     if readme.exists():
         files.append(readme)
     return files
+
+
+def python_files() -> List[pathlib.Path]:
+    return sorted(path for root in PYTHON_ROOTS
+                  for path in (REPO_ROOT / root).rglob("*.py"))
 
 
 def link_targets(path: pathlib.Path) -> Iterator[Tuple[int, str, str]]:
@@ -64,6 +79,13 @@ def link_targets(path: pathlib.Path) -> Iterator[Tuple[int, str, str]]:
             yield number, "reference", match.group(1)
 
 
+def python_mentions(path: pathlib.Path) -> Iterator[Tuple[int, str, str]]:
+    """Yield ``(line_number, "mention", target)`` for every ``*.md`` a Python file names."""
+    for number, line in enumerate(path.read_text().splitlines(), start=1):
+        for match in PYTHON_MENTION.finditer(line):
+            yield number, "mention", match.group(1)
+
+
 def resolve(path: pathlib.Path, target: str) -> pathlib.Path:
     target = target.split("#", 1)[0]
     if target.startswith("/"):
@@ -80,8 +102,10 @@ def resolve(path: pathlib.Path, target: str) -> pathlib.Path:
 def main() -> int:
     broken: List[str] = []
     checked = 0
-    for path in documentation_files():
-        for number, kind, target in link_targets(path):
+    scanned = ([(path, link_targets) for path in documentation_files()]
+               + [(path, python_mentions) for path in python_files()])
+    for path, extract in scanned:
+        for number, kind, target in extract(path):
             checked += 1
             if not resolve(path, target).exists():
                 where = path.relative_to(REPO_ROOT)
@@ -92,7 +116,7 @@ def main() -> int:
             print(f"  {line}")
         return 1
     print(f"docs link check: {checked} links/references across "
-          f"{len(documentation_files())} files, all resolve")
+          f"{len(scanned)} files, all resolve")
     return 0
 
 
