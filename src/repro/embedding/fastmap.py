@@ -23,9 +23,22 @@ The classical algorithm, reproduced here:
    for the remaining dimensions (clamped at zero, because real semantic
    distances are rarely perfectly Euclidean).
 
+:meth:`FastMap.fit` does all of this a *row* at a time — the base distances
+from one object to all ``n`` fitted objects as one ``float64`` array — so the
+residual, the farthest-object walk and the projection are NumPy over all
+objects.  A distance that can produce such rows itself (``rows_to``, which
+the triple distance answers from term tables) is asked for them; any other
+callable is looped over pair by pair.  Either way the result is bit-identical
+to evaluating the formulas above one pair at a time, because every array
+step is the same IEEE operation in the same order: ``squared -= delta *
+delta`` per dimension in ascending order, a square root only where
+``squared > 0`` (else ``+0.0``), the first maximum on ties.
+``tests/embedding/test_fastmap_exactness.py`` keeps the pair-at-a-time fit
+as the reference and compares with ``==``.
+
 The implementation also supports projecting *out-of-sample* objects (query
 triples) into an already-computed space, which is what SemTree uses at
-query time.
+query time; that path evaluates the distance pair by pair.
 """
 
 from __future__ import annotations
@@ -33,7 +46,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, Generic, Hashable, List, Sequence, 
+from typing import (Any, Callable, Dict, Generic, Hashable, List, Sequence,
                     Tuple, TypeVar)
 
 import numpy as np
@@ -181,30 +194,57 @@ class FastMap(Generic[ObjectT]):
             raise EmbeddingError(f"distance function returned a negative value: {value}")
         return value
 
-    def _residual_distance(self, a_index: int, b_index: int, objects: Sequence[ObjectT],
-                           coordinates: np.ndarray, upto_dimension: int) -> float:
-        """Distance in the residual space after ``upto_dimension`` projections."""
-        base = self._base_distance(objects[a_index], objects[b_index])
+    def _base_rows(self, objects: Sequence[ObjectT]) -> Callable[[int], np.ndarray]:
+        """The function ``i -> [distance(objects[i], o) for o in objects]`` as ``float64`` arrays.
+
+        A distance that can assemble whole rows itself (``rows_to``, see
+        :meth:`repro.semantics.triple_distance.TripleDistance.rows_to`) is
+        asked to; any other callable is evaluated pair by pair.
+        """
+        rows_to = getattr(self._distance, "rows_to", None)
+        if rows_to is not None:
+            rows = rows_to(objects)
+        else:
+            distance = self._distance
+
+            def rows(obj: ObjectT) -> np.ndarray:
+                return np.array([distance(obj, other) for other in objects], dtype=float)
+
+        def base_row(index: int) -> np.ndarray:
+            row = rows(objects[index])
+            self.distance_evaluations += len(objects)
+            negative = row < 0
+            if negative.any():
+                raise EmbeddingError(
+                    f"distance function returned a negative value: {float(row[negative][0])}")
+            return row
+
+        return base_row
+
+    @staticmethod
+    def _residual_row(index: int, base_row: Callable[[int], np.ndarray],
+                      coordinates: np.ndarray, upto_dimension: int) -> np.ndarray:
+        """Distances from object ``index`` to every object after ``upto_dimension`` projections."""
+        base = base_row(index)
         squared = base * base
         for dim in range(upto_dimension):
-            delta = coordinates[a_index, dim] - coordinates[b_index, dim]
+            delta = coordinates[index, dim] - coordinates[:, dim]
             squared -= delta * delta
-        return math.sqrt(squared) if squared > 0 else 0.0
+        # Clamp at zero; the zero-filled output keeps the clamp at +0.0, never -0.0.
+        residual = np.zeros_like(squared)
+        np.sqrt(squared, out=residual, where=squared > 0)
+        return residual
 
-    def _choose_pivots(self, objects: Sequence[ObjectT], coordinates: np.ndarray,
-                       dimension: int) -> Tuple[int, int, float]:
+    def _choose_pivots(self, base_row: Callable[[int], np.ndarray],
+                       coordinates: np.ndarray, dimension: int) -> Tuple[int, int, float]:
         """The farthest-pair heuristic in the residual space of ``dimension``."""
-        n = len(objects)
-        pivot_b = self._random.randrange(n)
+        pivot_b = self._random.randrange(len(coordinates))
         pivot_a = pivot_b
         best_distance = 0.0
         for _ in range(self.pivot_iterations):
-            distances = [
-                self._residual_distance(pivot_b, i, objects, coordinates, dimension)
-                for i in range(n)
-            ]
+            distances = self._residual_row(pivot_b, base_row, coordinates, dimension)
             farthest = int(np.argmax(distances))
-            best_distance = distances[farthest]
+            best_distance = float(distances[farthest])
             if farthest == pivot_b:
                 break
             pivot_a, pivot_b = pivot_b, farthest
@@ -224,14 +264,14 @@ class FastMap(Generic[ObjectT]):
         if len(objects) < 2:
             raise EmbeddingError("FastMap needs at least two objects to embed")
         self.distance_evaluations = 0
-        n = len(objects)
-        coordinates = np.zeros((n, self.dimensions), dtype=float)
+        coordinates = np.zeros((len(objects), self.dimensions), dtype=float)
         pivots: List[PivotPair[ObjectT]] = []
+        base_row = self._base_rows(objects)
 
         produced = 0
         for dimension in range(self.dimensions):
             index_a, index_b, pivot_distance = self._choose_pivots(
-                objects, coordinates, dimension
+                base_row, coordinates, dimension
             )
             if pivot_distance <= 0.0:
                 # Residual space collapsed: every remaining coordinate is 0.
@@ -240,12 +280,9 @@ class FastMap(Generic[ObjectT]):
                 PivotPair(objects[index_a], objects[index_b], pivot_distance)
             )
             d_ab_sq = pivot_distance * pivot_distance
-            for i in range(n):
-                d_ai = self._residual_distance(index_a, i, objects, coordinates, dimension)
-                d_bi = self._residual_distance(index_b, i, objects, coordinates, dimension)
-                coordinates[i, dimension] = (
-                    (d_ai * d_ai + d_ab_sq - d_bi * d_bi) / (2.0 * pivot_distance)
-                )
+            d_a = self._residual_row(index_a, base_row, coordinates, dimension)
+            d_b = self._residual_row(index_b, base_row, coordinates, dimension)
+            coordinates[:, dimension] = (d_a * d_a + d_ab_sq - d_b * d_b) / (2.0 * pivot_distance)
             produced = dimension + 1
 
         if produced == 0:

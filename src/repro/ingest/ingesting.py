@@ -338,7 +338,11 @@ class IngestingIndex:
     # -- introspection ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.base) + len(self.delta)
+        # As a reader of the tree lock: a compaction drains the delta before
+        # it has inserted the drained points, and an unlocked sum taken in
+        # between misses every acknowledged point still in its hands.
+        with self._lock.read():
+            return len(self.base) + len(self.delta)
 
     @property
     def applied_seq(self) -> int:
@@ -347,10 +351,12 @@ class IngestingIndex:
 
     def statistics(self) -> Dict[str, object]:
         """Ingest gauges and counters merged with the write-path metrics."""
+        with self._lock.read():
+            tree_points, delta_points = len(self.base), len(self.delta)
         stats: Dict[str, object] = {
-            "points": len(self),
-            "tree_points": len(self.base),
-            "delta_points": len(self.delta),
+            "points": tree_points + delta_points,
+            "tree_points": tree_points,
+            "delta_points": delta_points,
             "wal_records": len(self.wal),
             "applied_seq": self._applied_seq,
             "last_seq": self.wal.last_seq,

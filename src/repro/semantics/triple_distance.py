@@ -19,13 +19,20 @@ subject, predicate and object position:
   which keeps the function total and symmetric.
 
 The resulting :class:`TripleDistance` is a proper callable ``(Triple,
-Triple) → float`` and is what FastMap and the linear-scan baselines consume.
+Triple) → float`` and is what FastMap's out-of-sample projection and the
+linear-scan baselines consume.  FastMap's *fit* asks for whole rows instead
+— the distances from one triple to every fitted triple — and gets them from
+:meth:`TripleDistance.rows_to`: the three positions draw from small term
+universes, so a row is three table gathers and two adds rather than one
+Eq. (1) evaluation per fitted triple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
+
+import numpy as np
 
 from repro.errors import DistanceError
 from repro.rdf.terms import Concept, Literal, Term
@@ -34,7 +41,7 @@ from repro.semantics.similarity import ConceptSimilarity, WuPalmerSimilarity
 from repro.semantics.string_distance import StringDistance, normalised_levenshtein
 from repro.semantics.vocabulary import Vocabulary
 
-__all__ = ["DistanceWeights", "TermDistance", "TripleDistance"]
+__all__ = ["DistanceWeights", "TermDistance", "TripleDistance", "TripleDistanceRows"]
 
 _WEIGHT_TOLERANCE = 1e-9
 
@@ -187,6 +194,15 @@ class TripleDistance:
             "object": self.term_distance(triple_a.object, triple_b.object),
         }
 
+    def rows_to(self, references: Sequence[Triple]) -> "TripleDistanceRows":
+        """Rows of Eq. (1) against ``references``: ``rows(t)[i] == distance(t, references[i])``.
+
+        The rows are assembled from term-distance tables and never call
+        :meth:`distance`, so a subclass that wraps :meth:`distance` (to count
+        or trace it) sees no calls from a consumer of rows.
+        """
+        return TripleDistanceRows(self.term_distance, self.weights, references)
+
     def with_weights(self, weights: DistanceWeights) -> "TripleDistance":
         """Return a new distance sharing the term distance but with other weights."""
         return TripleDistance(self.term_distance, weights)
@@ -197,3 +213,60 @@ class TripleDistance:
     def __repr__(self) -> str:
         alpha, beta, gamma = self.weights.as_tuple()
         return f"TripleDistance(alpha={alpha:.3f}, beta={beta:.3f}, gamma={gamma:.3f})"
+
+
+class _PositionTable:
+    """One position of the reference triples: its distinct terms and their weighted distances.
+
+    ``universe`` holds the distinct terms in first-seen order and
+    ``inverse[i]`` is the universe slot of reference ``i``, so a vector over
+    the universe gathered through ``inverse`` is a vector over the references.
+    """
+
+    def __init__(self, term_distance: TermDistance, weight: float, terms: Sequence[Term]):
+        slots: Dict[Term, int] = {}
+        self.inverse = np.fromiter((slots.setdefault(term, len(slots)) for term in terms),
+                                   dtype=np.intp, count=len(terms))
+        self.universe: List[Term] = list(slots)
+        self._term_distance = term_distance
+        self._weight = weight
+        #: ``weight * d(term, universe)`` per requested term: universe-length, not n-length.
+        self._weighted: Dict[Term, np.ndarray] = {}
+
+    def row(self, term: Term) -> np.ndarray:
+        """``weight * d(term, reference term)`` for every reference, ``term`` first."""
+        weighted = self._weighted.get(term)
+        if weighted is None:
+            weighted = self._weight * np.array(
+                [self._term_distance(term, other) for other in self.universe], dtype=float)
+            self._weighted[term] = weighted
+        return weighted[self.inverse]
+
+
+class TripleDistanceRows:
+    """Eq. (1) from one triple to a fixed sequence of reference triples, as one array.
+
+    Each position interns its distinct reference terms once; the scalar
+    :class:`TermDistance` then runs once per (requested term, distinct
+    reference term) pair instead of once per (triple, reference) pair, and
+    every entry is bit-identical to :meth:`TripleDistance.distance` because
+    it is the same products summed in the same order,
+    ``(α·d_s + β·d_p) + γ·d_o`` (equal triples get ``0.0`` from three zero
+    term distances).  Memory is ``O(U² + n)`` for term universes of size
+    ``U`` and ``n`` references.
+    """
+
+    def __init__(self, term_distance: TermDistance, weights: DistanceWeights,
+                 references: Sequence[Triple]):
+        alpha, beta, gamma = weights.as_tuple()
+        self._subjects = _PositionTable(
+            term_distance, alpha, [triple.subject for triple in references])
+        self._predicates = _PositionTable(
+            term_distance, beta, [triple.predicate for triple in references])
+        self._objects = _PositionTable(
+            term_distance, gamma, [triple.object for triple in references])
+
+    def __call__(self, triple: Triple) -> np.ndarray:
+        return (self._subjects.row(triple.subject)
+                + self._predicates.row(triple.predicate)
+                + self._objects.row(triple.object))

@@ -34,10 +34,11 @@ holds connections without holding threads:
 The optional **wire cache** (off by default; the CLI enables it for
 single-node servers) serves byte-identical repeat answers for read-only
 endpoints straight from the loop thread: entries are keyed on
-``(route, raw request body)`` and stamped with the app's
-``wire_cache_epoch()`` — ``(tree generation, WAL sequence)`` for a
-:class:`~repro.server.app.ServerApp` — so any insert invalidates every
-cached answer.  Requests carrying deadlines, partial-result opt-ins,
+``(route, raw request body)`` and the cache as a whole belongs to one
+``wire_cache_epoch()`` of the app — ``(tree generation, WAL sequence)`` for
+a :class:`~repro.server.app.ServerApp` — so any insert drops every cached
+answer (epochs never come back, so none of them could hit again).
+Requests carrying deadlines, partial-result opt-ins,
 debug-trace opt-ins, client ids under admission control, or any fault
 plan bypass the cache entirely.
 
@@ -201,8 +202,9 @@ class SemTreeServer:
         self._cache_routes = (frozenset(app.wire_cacheable_routes())
                               if wire_cache else frozenset())
         self._cache_capacity = wire_cache_capacity
-        self._cache: "collections.OrderedDict[tuple, Tuple[tuple, bytes]]" = \
+        self._cache: "collections.OrderedDict[tuple, bytes]" = \
             collections.OrderedDict()
+        self._cache_epoch: tuple = ()
         self._cache_hits = 0
         self._cache_misses = 0
 
@@ -559,28 +561,39 @@ class SemTreeServer:
         # topology-dependent; anything mentioning them takes the full path.
         if b"deadline" in body or b"allow_partial" in body:
             return None
-        epoch = self.app.wire_cache_epoch()
+        epoch = self._cache_observe_epoch()
         key = (route, body)
-        entry = self._cache.get(key)
-        if entry is not None:
-            if entry[0] == epoch:
-                self._cache.move_to_end(key)
-                self._cache_hits += 1
-                return entry[1]
-            del self._cache[key]  # stale epoch: an insert landed since
+        cached = self._cache.get(key)
+        if cached is not None:
+            self._cache.move_to_end(key)
+            self._cache_hits += 1
+            return cached
         self._cache_misses += 1
         conn.cache_slot = (key, epoch)
         return None
 
+    def _cache_observe_epoch(self) -> tuple:
+        """The app's epoch now; when it has moved, every entry is dead and is dropped."""
+        epoch = self.app.wire_cache_epoch()
+        if epoch != self._cache_epoch:
+            self._cache.clear()
+            self._cache_epoch = epoch
+        return epoch
+
     def _cache_fill(self, conn: _Connection, response: WireResponse) -> None:
         slot = conn.cache_slot
         conn.cache_slot = None
+        if slot is None and not self._cache:
+            return  # nothing to store, nothing to drop (always so with the cache off)
+        # Every response passes here, an insert's included, so the bodies it
+        # killed go now rather than when newer entries have pushed them out.
+        epoch = self._cache_observe_epoch()
         if slot is None or response.status != 200 or response.drip is not None:
             return
-        key, epoch = slot
-        if self.app.wire_cache_epoch() != epoch:
+        key, looked_up_at = slot
+        if looked_up_at != epoch:
             return  # an insert raced this query; the answer may be stale
-        self._cache[key] = (epoch, response.body)
+        self._cache[key] = response.body
         self._cache.move_to_end(key)
         while len(self._cache) > self._cache_capacity:
             self._cache.popitem(last=False)

@@ -76,3 +76,31 @@ def test_identical_queries_stay_identical_across_inserts(make_server):
         texts = [match["text"] for match in after["matches"]]
         assert str(INSERT_TRIPLES[0]) in texts
         assert after["matches"][0]["distance"] == pytest.approx(0.0)
+
+
+def test_an_insert_empties_the_cache_and_the_hit_miss_trace_stands(make_server):
+    """Epochs only move forward, so an insert leaves no entry that could hit:
+    all of them go at once, and hits/misses read as if each had been found
+    stale one at a time."""
+    server, _ = make_server(server_kwargs={"wire_cache": True})
+    first, second = BASE_TRIPLES[0], BASE_TRIPLES[1]
+
+    def counters():
+        stats = server.wire_cache_stats()
+        return stats["hits"], stats["misses"], stats["entries"]
+
+    with ServerClient(server.url) as client:
+        script = [
+            (lambda: client.knn(first, 2), (0, 1, 1)),
+            (lambda: client.knn(first, 2), (1, 1, 1)),
+            (lambda: client.range(second, 0.3), (1, 2, 2)),
+            (lambda: client.insert(INSERT_TRIPLES[0]), (1, 2, 0)),
+            (lambda: client.knn(first, 2), (1, 3, 1)),
+            (lambda: client.knn(first, 2), (2, 3, 1)),
+            (lambda: client.insert(INSERT_TRIPLES[1]), (2, 3, 0)),
+            (lambda: client.range(second, 0.3), (2, 4, 1)),
+            (lambda: client.range(second, 0.3), (3, 4, 1)),
+        ]
+        for step, (request, expected) in enumerate(script):
+            request()
+            assert counters() == expected, f"step {step}"
