@@ -8,7 +8,8 @@ still ran on a simulated cluster.  This package makes distribution real:
 * :mod:`repro.coordinator.transport` — :class:`HttpShardTransport`, the
   :class:`~repro.cluster.transport.PartitionTransport` implementation that
   POSTs partition scans to ``python -m repro.server --shard`` processes
-  over persistent connections;
+  over persistent connections and resolves their row-id answers through
+  each replica's row table;
 * :mod:`repro.coordinator.sharded` — :class:`ShardedIndex`, the servable
   index whose searches scatter across shards and gather through the
   paper's result-set merge (bit-identical to the sequential search);

@@ -72,6 +72,35 @@ __all__ = ["ShardedIndex"]
 LATENCY_SAMPLE_LIMIT = 4096
 
 
+#: ``(key in HttpShardTransport.client_stats(), metric name, help)``.
+_TRANSPORT_COUNTERS = (
+    ("requests", "repro_transport_requests_total",
+     "Shard HTTP requests issued by the coordinator, by partition."),
+    ("connections_opened", "repro_transport_connections_opened_total",
+     "TCP connections the shard transport opened, by partition."),
+    ("requests_reused", "repro_transport_requests_reused_total",
+     "Shard requests served over a reused keep-alive socket."),
+    ("stale_retries", "repro_transport_stale_retries_total",
+     "Shard requests retried once after a stale keep-alive socket."),
+)
+
+#: The same for ``failover_stats()``.
+_FAILOVER_COUNTERS = (
+    ("retries", "repro_shard_retries_total",
+     "Shard scan attempts retried after a replica failure, by partition."),
+    ("failovers", "repro_shard_failovers_total",
+     "Scan retries that moved to a different replica, by partition."),
+    ("hedges", "repro_shard_hedges_total",
+     "Duplicate hedge requests issued to a second replica, by partition."),
+    ("hedge_wins", "repro_shard_hedge_wins_total",
+     "Hedged scans where the duplicate answered first, by partition."),
+    ("circuit_opens", "repro_shard_circuit_opens_total",
+     "Replica circuit-breaker trips, by partition."),
+    ("circuit_shed", "repro_shard_circuit_shed_total",
+     "Scan attempts skipped because a replica circuit was open."),
+)
+
+
 class _ShardStats:
     """Per-shard observability: scan counts, failures, latency samples."""
 
@@ -112,8 +141,8 @@ class ShardedIndex:
         the simulated cluster in tests
         (:class:`~repro.cluster.transport.SimulatedClusterTransport`).
     scatter_workers:
-        Concurrent scans in flight across all queries.  Thread-pool scatter:
-        each query's scans are submitted together and gathered in partition
+        Pool threads scanning for all queries together.  Each query submits
+        its scans but one, runs that one itself and gathers in partition
         order.
     """
 
@@ -238,7 +267,9 @@ class ShardedIndex:
                  scan: Callable[[str], PartitionScan], *,
                  allow_partial: bool = False,
                  ) -> Tuple[List[PartitionScan], Optional[Dict[str, object]]]:
-        """Run one scan per target concurrently; gather in partition order.
+        """Run one scan per target concurrently — all but the last on the
+        scatter pool, the last on the calling thread — and gather in
+        partition order.
 
         Returns the surviving scans plus the ``degraded`` marker (``None``
         when every partition answered).  Fail-loud by default: any failed
@@ -249,29 +280,40 @@ class ShardedIndex:
         answer to degrade to and the error propagates regardless.
         """
         def traced_scan(partition_id: str) -> PartitionScan:
+            with span("shard_scan", partition=partition_id):
+                result = scan(partition_id)
+                annotate_span(cost=result.cost.to_dict())
+                return result
+
+        def pooled_scan(partition_id: str) -> PartitionScan:
             # Scatter-pool threads carry the submitting request's trace, so
             # per-shard round trips land in the right span tree.
             with resume_context(trace_context):
-                with span("shard_scan", partition=partition_id):
-                    result = scan(partition_id)
-                    annotate_span(cost=result.cost.to_dict())
-                    return result
+                return traced_scan(partition_id)
+
+        scans: Dict[str, PartitionScan] = {}
+        failed: Dict[str, str] = {}
+
+        def settle(partition_id: str, outcome: Callable[..., PartitionScan],
+                   *arguments: str) -> None:
+            try:
+                scans[partition_id] = outcome(*arguments)
+            except ShardError as error:
+                failed[partition_id] = str(error)
+            except Exception as error:  # noqa: BLE001 - reported per partition
+                failed[partition_id] = f"{type(error).__name__}: {error}"
 
         with span("scatter", partitions=len(targets)):
             trace_context = capture_context()
-            futures = {
-                partition_id: self._executor.submit(traced_scan, partition_id)
-                for partition_id in targets
-            }
-            scans: Dict[str, PartitionScan] = {}
-            failed: Dict[str, str] = {}
-            for partition_id in targets:
-                try:
-                    scans[partition_id] = futures[partition_id].result()
-                except ShardError as error:
-                    failed[partition_id] = str(error)
-                except Exception as error:  # noqa: BLE001 - reported per partition
-                    failed[partition_id] = f"{type(error).__name__}: {error}"
+            futures = [(partition_id, self._executor.submit(pooled_scan, partition_id))
+                       for partition_id in targets[:-1]]
+            # The last target is scanned here, by the thread that would only
+            # wait otherwise: one hand-off fewer per query, none for a
+            # one-partition range.
+            if targets:
+                settle(targets[-1], traced_scan, targets[-1])
+            for partition_id, future in futures:
+                settle(partition_id, future.result)
         degraded_query = bool(failed) and allow_partial and bool(scans)
         self._record(scans, failed, degraded=degraded_query)
         if failed and not degraded_query:
@@ -350,76 +392,19 @@ class ShardedIndex:
                 "Coordinator-observed shard scan round trip, by partition.",
                 ("partition",),
             )
-        client_stats = getattr(self.transport, "client_stats", None)
-        if client_stats is not None:
-            # HTTP deployments only (the simulated transport has no sockets):
-            # connection-reuse counters per shard, read at scrape time.
-            def per_shard(counter: str):
-                def read() -> Dict[Tuple[str, ...], float]:
-                    return {(partition_id,): float(stats.get(counter, 0))
-                            for partition_id, stats in client_stats().items()}
-                return read
-
-            registry.counter(
-                "repro_transport_requests_total",
-                "Shard HTTP requests issued by the coordinator, by partition.",
-                ("partition",),
-            ).set_callback(per_shard("requests"))
-            registry.counter(
-                "repro_transport_connections_opened_total",
-                "TCP connections the shard transport opened, by partition.",
-                ("partition",),
-            ).set_callback(per_shard("connections_opened"))
-            registry.counter(
-                "repro_transport_requests_reused_total",
-                "Shard requests served over a reused keep-alive socket.",
-                ("partition",),
-            ).set_callback(per_shard("requests_reused"))
-            registry.counter(
-                "repro_transport_stale_retries_total",
-                "Shard requests retried once after a stale keep-alive socket.",
-                ("partition",),
-            ).set_callback(per_shard("stale_retries"))
-        failover_stats = getattr(self.transport, "failover_stats", None)
-        if failover_stats is not None:
-            # Replica-aware transports only: the failover machinery's own
-            # counters, read at scrape time like the connection counters.
-            def per_partition(counter: str):
-                def read() -> Dict[Tuple[str, ...], float]:
-                    return {(partition_id,): float(stats.get(counter, 0))
-                            for partition_id, stats in failover_stats().items()}
-                return read
-
-            registry.counter(
-                "repro_shard_retries_total",
-                "Shard scan attempts retried after a replica failure, by partition.",
-                ("partition",),
-            ).set_callback(per_partition("retries"))
-            registry.counter(
-                "repro_shard_failovers_total",
-                "Scan retries that moved to a different replica, by partition.",
-                ("partition",),
-            ).set_callback(per_partition("failovers"))
-            registry.counter(
-                "repro_shard_hedges_total",
-                "Duplicate hedge requests issued to a second replica, by partition.",
-                ("partition",),
-            ).set_callback(per_partition("hedges"))
-            registry.counter(
-                "repro_shard_hedge_wins_total",
-                "Hedged scans where the duplicate answered first, by partition.",
-                ("partition",),
-            ).set_callback(per_partition("hedge_wins"))
-            registry.counter(
-                "repro_shard_circuit_opens_total",
-                "Replica circuit-breaker trips, by partition.",
-                ("partition",),
-            ).set_callback(per_partition("circuit_opens"))
-            registry.counter(
-                "repro_shard_circuit_shed_total",
-                "Scan attempts skipped because a replica circuit was open.",
-                ("partition",),
-            ).set_callback(per_partition("circuit_shed"))
+        # HTTP deployments only (the simulated transport has no sockets, no
+        # replicas): the transport's own per-partition counters, read at
+        # scrape time like the ones above.
+        for source, counters in (("client_stats", _TRANSPORT_COUNTERS),
+                                 ("failover_stats", _FAILOVER_COUNTERS)):
+            read_stats = getattr(self.transport, source, None)
+            if read_stats is None:
+                continue
+            for key, name, documentation in counters:
+                registry.counter(name, documentation, ("partition",)).set_callback(
+                    lambda read_stats=read_stats, key=key: {
+                        (partition_id,): float(stats.get(key, 0))
+                        for partition_id, stats in read_stats().items()})
 
     def _per_shard_totals(self, attribute: str) -> Dict[Tuple[str, ...], float]:
         with self._stats_lock:

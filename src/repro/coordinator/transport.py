@@ -3,8 +3,14 @@
 :class:`HttpShardTransport` implements the
 :class:`~repro.cluster.transport.PartitionTransport` protocol against a
 :class:`~repro.coordinator.topology.ShardTopology` of live shard servers,
-with one :class:`~repro.workloads.ServerClient` per *replica* (each holding
-one persistent keep-alive connection per thread).
+with one :class:`~repro.server.connection.KeepAliveConnection` per
+*replica* (a persistent socket per calling thread, framed by
+``protocol.py``) and that replica's row table.  A scan response names its
+matches as ``[row, distance]`` pairs under a ``rows_id``; the transport
+fetches the table those rows index (``GET /v1/shard/rows``) once and keeps
+it while every response's ``rows_id`` matches — a mismatch refetches once,
+a second one fails the scan, so a row is never resolved against another
+snapshot's table.
 
 Fault tolerance (see ``docs/robustness.md``):
 
@@ -33,11 +39,13 @@ failure, for the scatter layer's structured partial-failure report.
 
 from __future__ import annotations
 
+import concurrent.futures
+import json
 import threading
 import time
 from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.transport import PartitionScan
 from repro.core.cost import SearchCost
@@ -48,9 +56,12 @@ from repro.coordinator.topology import ShardTopology
 from repro.errors import ServerError, ShardError
 from repro.faults import FaultPlan, InjectedFault
 from repro.io.serialization import triple_from_dict
-from repro.workloads.http_client import ServerClient
+from repro.server.connection import KeepAliveConnection
 
 __all__ = ["HttpShardTransport"]
+
+#: A replica's row table as last fetched: ``(rows_id, points in row order)``.
+RowTable = Tuple[str, Tuple[LabeledPoint, ...]]
 
 
 class HttpShardTransport:
@@ -104,11 +115,12 @@ class HttpShardTransport:
             )
             for partition_id in topology.partition_ids
         }
-        self._clients: Dict[Tuple[str, str], ServerClient] = {
-            (partition_id, replica.url): ServerClient(replica.url, timeout=timeout)
+        self._connections: Dict[Tuple[str, str], KeepAliveConnection] = {
+            (partition_id, replica.url): KeepAliveConnection(replica.url, timeout=timeout)
             for partition_id, replica_set in self._replica_sets.items()
             for replica in replica_set.replicas
         }
+        self._tables: Dict[Tuple[str, str], RowTable] = {}
         self._counters_lock = threading.Lock()
         self._counters: Dict[str, Counter] = {
             name: Counter()
@@ -129,29 +141,21 @@ class HttpShardTransport:
         return self.topology.partition_ids
 
     def scan_knn(self, partition_id: str, query: LabeledPoint, k: int) -> PartitionScan:
-        started = time.perf_counter()
-        payload = self._scan(
-            partition_id, "shard_knn",
-            lambda client: client.shard_knn(query.coordinates, k))
-        return self._scan_from_payload(partition_id, payload,
-                                       time.perf_counter() - started)
+        return self._scan(partition_id, "shard_knn", "/v1/shard/knn",
+                          {"coordinates": list(query.coordinates), "k": k})
 
     def scan_range(self, partition_id: str, query: LabeledPoint,
                    radius: float) -> PartitionScan:
-        started = time.perf_counter()
-        payload = self._scan(
-            partition_id, "shard_range",
-            lambda client: client.shard_range(query.coordinates, radius))
-        return self._scan_from_payload(partition_id, payload,
-                                       time.perf_counter() - started)
+        return self._scan(partition_id, "shard_range", "/v1/shard/range",
+                          {"coordinates": list(query.coordinates), "radius": radius})
 
     def close(self) -> None:
         if self._hedge_pool is not None:
             self._hedge_pool.shutdown(wait=False)
-        # close_all, not close: the persistent sockets live in the scatter
-        # pool's worker threads, not in the thread tearing the transport down.
-        for client in self._clients.values():
-            client.close_all()
+        # Every thread's sockets, not the caller's: the persistent ones live
+        # in the scatter pool's workers, not in the thread tearing this down.
+        for connection in self._connections.values():
+            connection.close()
 
     # -- health / stats read surfaces ---------------------------------------------------
 
@@ -192,8 +196,8 @@ class HttpShardTransport:
         and ``connections_opened`` stuck near the thread count.
         """
         totals: Dict[str, Counter] = {}
-        for (partition_id, _url), client in self._clients.items():
-            totals.setdefault(partition_id, Counter()).update(client.stats())
+        for (partition_id, _url), connection in self._connections.items():
+            totals.setdefault(partition_id, Counter()).update(connection.stats())
         return {partition_id: dict(counter)
                 for partition_id, counter in totals.items()}
 
@@ -203,8 +207,8 @@ class HttpShardTransport:
 
     # -- the scan retry/hedge loop ------------------------------------------------------
 
-    def _scan(self, partition_id: str, operation: str,
-              issue: Callable[[ServerClient], Dict]) -> Dict:
+    def _scan(self, partition_id: str, operation: str, path: str,
+              request: Dict[str, Any]) -> PartitionScan:
         """One partition scan: try replicas in health order until one answers.
 
         Scans are idempotent reads, so failing over to the next replica is
@@ -218,6 +222,8 @@ class HttpShardTransport:
                 f"(topology covers: {', '.join(self.topology.partition_ids)})",
                 failed={partition_id: "not in topology"},
             )
+        started = time.perf_counter()
+        body = json.dumps(request).encode("utf-8")
         candidates = replica_set.candidates()
         failures: List[str] = []
         attempt = 0
@@ -239,16 +245,29 @@ class HttpShardTransport:
             hedge_candidates = candidates[index + 1:]
             try:
                 if self._hedge_pool is not None and hedge_candidates:
-                    payload = self._attempt_hedged(
-                        partition_id, operation, issue, replica, hedge_candidates)
+                    payload, neighbours = self._attempt_hedged(
+                        partition_id, operation, path, body, replica, hedge_candidates)
                 else:
-                    payload = self._attempt(partition_id, operation, issue, replica)
+                    payload, neighbours = self._attempt(
+                        partition_id, operation, path, body, replica)
             except (ServerError, InjectedFault) as error:
                 failures.append(f"{replica.url}: {error}")
                 attempt += 1
                 index += 1
                 continue
-            return payload
+            return PartitionScan(
+                partition_id=partition_id,
+                neighbours=neighbours,
+                nodes_visited=int(payload.get("nodes_visited", 0)),
+                points_examined=int(payload.get("points_examined", 0)),
+                # The *coordinator-observed* round trip (network hop, retries
+                # and hedges included), matching what SimulatedClusterTransport
+                # reports — the per-shard latency gauges must point an operator
+                # at a slow shard path, not just at its server-side scan time
+                # (which the shard still reports in its own payload as latency_ms).
+                elapsed_seconds=time.perf_counter() - started,
+                cost=SearchCost.from_dict(payload.get("cost")),
+            )
         self._count("exhausted", partition_id)
         raise ShardError(
             f"{operation} on partition {partition_id} failed on every replica "
@@ -256,10 +275,15 @@ class HttpShardTransport:
             failed={partition_id: "; ".join(failures)},
         )
 
-    def _attempt(self, partition_id: str, operation: str,
-                 issue: Callable[[ServerClient], Dict],
-                 replica: ReplicaState) -> Dict:
-        """One request against one replica, with breaker + fault bookkeeping."""
+    def _attempt(self, partition_id: str, operation: str, path: str, body: bytes,
+                 replica: ReplicaState) -> Tuple[Dict[str, Any], Tuple[Neighbour, ...]]:
+        """One scan against one replica, with breaker + fault bookkeeping.
+
+        Returns the response payload and its rows resolved through the
+        replica's row table, fetched here when none is held or the
+        response's ``rows_id`` names another — so a failed fetch counts
+        against the replica like a failed scan.
+        """
         if self.fault_plan is not None:
             fault = self.fault_plan.decide("scan", f"{partition_id}@{replica.url}")
             if fault is not None:
@@ -275,9 +299,17 @@ class HttpShardTransport:
                     replica.breaker.record_failure()
                     raise InjectedFault(
                         f"injected HTTP {fault.status} from {replica.url}")
-        client = self._clients[(partition_id, replica.url)]
+        key = (partition_id, replica.url)
+        connection = self._connections[key]
         try:
-            payload = issue(client)
+            payload = connection.request("POST", path, body)
+            rows_id = payload.get("rows_id")
+            table = self._tables.get(key)
+            if table is None or table[0] != rows_id:
+                published = connection.request("GET", "/v1/shard/rows")
+                table = self._tables[key] = (published["rows_id"], tuple(
+                    LabeledPoint.of(row["coordinates"], label=triple_from_dict(row["triple"]))
+                    for row in published["rows"]))
         except ServerError as error:
             if 400 <= error.status < 500:
                 # The replica answered: it is healthy, the *request* is bad.
@@ -294,12 +326,30 @@ class HttpShardTransport:
             raise
         replica.successes += 1
         replica.breaker.record_success()
-        return payload
+        served = payload.get("partition_id")
+        if served != partition_id:
+            # A misconfigured topology (shard booted with the wrong --shard)
+            # would silently double-count one partition and drop another.
+            raise ShardError(
+                f"topology mismatch: a replica of partition {partition_id!r} "
+                f"serves partition {served!r}",
+                failed={partition_id: f"shard serves {served!r}"},
+            )
+        if table[0] != rows_id:
+            # Refetched and still not the table this scan indexes: resolving
+            # its rows could name the wrong triples, so the scan fails instead.
+            raise ShardError(
+                f"{operation} on partition {partition_id} via {replica.url} answered "
+                f"from row table {rows_id!r} but the replica publishes {table[0]!r}",
+                failed={partition_id: f"row table {rows_id!r} != published {table[0]!r}"},
+            )
+        points = table[1]
+        return payload, tuple(Neighbour(points[row], distance)
+                              for row, distance in payload["rows"])
 
-    def _attempt_hedged(self, partition_id: str, operation: str,
-                        issue: Callable[[ServerClient], Dict],
-                        replica: ReplicaState,
-                        alternates: List[ReplicaState]) -> Dict:
+    def _attempt_hedged(self, partition_id: str, operation: str, path: str, body: bytes,
+                        replica: ReplicaState, alternates: List[ReplicaState],
+                        ) -> Tuple[Dict[str, Any], Tuple[Neighbour, ...]]:
         """Race the replica against a late-started duplicate on the next one.
 
         The primary request is given ``hedge_delay`` seconds to answer; past
@@ -311,13 +361,13 @@ class HttpShardTransport:
         """
         assert self._hedge_pool is not None
         primary: Future = self._hedge_pool.submit(
-            self._attempt, partition_id, operation, issue, replica)
+            self._attempt, partition_id, operation, path, body, replica)
         try:
             return primary.result(timeout=self.hedge_delay)
-        except TimeoutError:
+        except concurrent.futures.TimeoutError:
+            # The futures name: the builtin TimeoutError is the same class
+            # only from Python 3.11, and 3.10 is supported.
             pass
-        except (ServerError, InjectedFault):
-            raise
         hedge_replica = next(
             (candidate for candidate in alternates if candidate.breaker.allow()),
             None)
@@ -325,9 +375,9 @@ class HttpShardTransport:
             return primary.result()
         self._count("hedges", partition_id)
         hedge: Future = self._hedge_pool.submit(
-            self._attempt, partition_id, operation, issue, hedge_replica)
+            self._attempt, partition_id, operation, path, body, hedge_replica)
         in_flight = {primary, hedge}
-        first_error: Optional[Exception] = None
+        first_error: Optional[BaseException] = None
         while in_flight:
             done, in_flight = wait(in_flight, return_when=FIRST_COMPLETED)
             for future in done:
@@ -343,46 +393,7 @@ class HttpShardTransport:
         assert first_error is not None
         raise first_error
 
-    # -- payload plumbing ---------------------------------------------------------------
-
-    def _scan_from_payload(self, partition_id: str, payload: Dict,
-                           elapsed_seconds: float) -> PartitionScan:
-        served = payload.get("partition_id")
-        if served != partition_id:
-            # A misconfigured topology (shard booted with the wrong --shard)
-            # would silently double-count one partition and drop another.
-            raise ShardError(
-                f"topology mismatch: a replica of partition {partition_id!r} "
-                f"serves partition {served!r}",
-                failed={partition_id: f"shard serves {served!r}"},
-            )
-        neighbours = tuple(
-            Neighbour(
-                LabeledPoint.of(match["coordinates"],
-                                label=triple_from_dict(match["triple"])),
-                float(match["distance"]),
-            )
-            for match in payload.get("matches", ())
-        )
-        # elapsed_seconds is the *coordinator-observed* round trip (network
-        # hop, retries and hedges included), matching what
-        # SimulatedClusterTransport reports — the per-shard latency gauges
-        # must point an operator at a slow shard path, not just at its
-        # server-side scan time (which the shard still reports in its own
-        # payload as latency_ms).
-        return PartitionScan(
-            partition_id=partition_id,
-            neighbours=neighbours,
-            nodes_visited=int(payload.get("nodes_visited", 0)),
-            points_examined=int(payload.get("points_examined", 0)),
-            elapsed_seconds=elapsed_seconds,
-            # Absent from older shards' payloads: from_dict reads missing
-            # keys as zero, so a mixed-version fleet degrades to undercounting
-            # instead of failing the scan.
-            cost=SearchCost.from_dict(payload.get("cost")),
-        )
-
     def __repr__(self) -> str:
         return (f"HttpShardTransport(partitions={len(self._replica_sets)}, "
-                f"replicas={len(self._clients)}, timeout={self.timeout}, "
+                f"replicas={len(self._connections)}, timeout={self.timeout}, "
                 f"hedge_delay={self.hedge_delay})")

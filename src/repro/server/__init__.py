@@ -24,6 +24,8 @@ clients that are not the process that built it:
   incremental request parser, one error ladder, one access-log line;
 * :mod:`repro.server.http` — :class:`SemTreeServer`, the transport (one
   ``selectors`` event loop + a worker pool);
+* :mod:`repro.server.connection` — the client side of the same framing:
+  the keep-alive connection a coordinator holds to each shard replica;
 * :mod:`repro.server.bootstrap` — recovering a servable index (and the
   semantic distance) from a checkpoint snapshot + WAL on disk;
 * :mod:`repro.server.cli` — the option group and serve loop the

@@ -81,7 +81,7 @@ class _Connection:
 
     __slots__ = ("sock", "client", "parser", "out", "state", "alive",
                  "last_activity", "request_started_at", "close_after_write",
-                 "next_chunk_at", "early", "cache_slot")
+                 "next_chunk_at", "early", "cache_slot", "events")
 
     def __init__(self, sock: socket.socket, client: str, now: float):
         self.sock = sock
@@ -101,6 +101,8 @@ class _Connection:
         #: Armed when the in-flight request is wire-cacheable:
         #: ``(cache key, epoch at dispatch)``.
         self.cache_slot: Optional[Tuple[tuple, tuple]] = None
+        #: The selector mask this socket is registered with (0: not registered).
+        self.events = 0
 
     def reset_for_next_request(self) -> None:
         self.parser = RequestParser()
@@ -411,7 +413,7 @@ class SemTreeServer:
                 pass
             conn = _Connection(sock, f"{addr[0]}:{addr[1]}", now)
             self._connections[sock] = conn
-            self._selector.register(sock, selectors.EVENT_READ, conn)
+            self._set_events(conn, selectors.EVENT_READ)
 
     def _on_readable(self, conn: _Connection, now: float) -> None:
         if conn.state != "read":
@@ -659,16 +661,18 @@ class SemTreeServer:
     # -- selector bookkeeping -----------------------------------------------------------
 
     def _set_events(self, conn: _Connection, events: int) -> None:
-        try:
-            key = self._selector.get_key(conn.sock)
-        except KeyError:
-            if events:
-                self._selector.register(conn.sock, events, conn)
+        # The mask is kept on the connection: asking the selector about a
+        # socket it does not hold raises a KeyError whose text is
+        # repr(socket) — two syscalls per finished request.
+        if events == conn.events:
             return
-        if not events:
+        if not conn.events:
+            self._selector.register(conn.sock, events, conn)
+        elif not events:
             self._selector.unregister(conn.sock)
-        elif key.events != events:
+        else:
             self._selector.modify(conn.sock, events, conn)
+        conn.events = events
 
     def _unregister(self, conn: _Connection) -> None:
         self._set_events(conn, 0)

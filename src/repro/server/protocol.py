@@ -8,7 +8,9 @@ mover around this module, which holds the one implementation of:
   whatever chunks the socket produced; a :class:`ParsedRequest` comes out.
   All limits (request-line length, header count/size, body size) and all
   malformed-input verdicts live here, so a framing fuzzer that pins this
-  module pins the wire behaviour.
+  module pins the wire behaviour.  :class:`ResponseParser` is the other
+  direction of the same framing (status line, the same header block and
+  caps, a ``Content-Length`` body) for the coordinator's shard connection.
 - **dispatch** (:class:`Dispatcher`): the full request lifecycle — trace
   activation, request context, fault injection, routing, the pinned
   4xx/5xx error ladder, handler invocation, serialisation, the access-log
@@ -45,7 +47,8 @@ from repro.server.schemas import error_body, status_for
 __all__ = [
     "MAX_BODY_BYTES", "MAX_REQUEST_LINE_BYTES", "MAX_HEADER_BYTES",
     "MAX_HEADER_COUNT", "Headers", "ParsedRequest", "RequestParser",
-    "WireResponse", "Dispatcher", "split_route", "query_params",
+    "ParsedResponse", "ResponseParser", "WireResponse", "Dispatcher",
+    "split_route", "query_params",
 ]
 
 #: Largest request body accepted, in bytes (a 4096-triple insert batch fits
@@ -117,6 +120,14 @@ class Headers:
         return iter(self._values.items())
 
 
+def _keeps_alive(version: Tuple[int, int], headers: Headers) -> bool:
+    """HTTP/1.1 persists unless told ``close``; HTTP/1.0 only when asked to."""
+    connection = (headers.get("Connection") or "").strip().lower()
+    if version >= (1, 1):
+        return connection != "close"
+    return connection == "keep-alive"
+
+
 @dataclass
 class ParsedRequest:
     """One fully-framed (or deliberately body-less) HTTP request."""
@@ -145,15 +156,28 @@ class ParsedRequest:
 
     @property
     def keep_alive(self) -> bool:
-        connection = (self.headers.get("Connection") or "").strip().lower()
-        if self.version >= (1, 1):
-            return connection != "close"
-        return connection == "keep-alive"
+        return _keeps_alive(self.version, self.headers)
+
+
+@dataclass
+class ParsedResponse:
+    """One fully-framed HTTP response, as a client of these servers reads it."""
+
+    status: int
+    reason: str
+    version: Tuple[int, int]
+    headers: Headers
+    body: bytes = b""
+
+    @property
+    def keep_alive(self) -> bool:
+        """False when the server announced it closes the connection."""
+        return _keeps_alive(self.version, self.headers)
 
 
 @dataclass
 class _FramingError:
-    """A connection-fatal parse failure (no request object exists)."""
+    """A connection-fatal parse failure (no message object exists)."""
 
     status: int
     error_type: str
@@ -216,27 +240,15 @@ class WireResponse:
                 for start in range(0, len(self.body), size)]
 
 
-class RequestParser:
-    """An incremental HTTP/1.1 request parser (one request at a time).
-
-    Feed raw socket bytes with :meth:`feed`; watch :attr:`state`:
-
-    - ``"line"`` / ``"headers"``: still framing, keep feeding.
-    - ``"paused"``: the header block is complete and :attr:`request` is
-      set (body unread).  The transport must consult
-      :meth:`Dispatcher.needs_body` and either :meth:`begin_body` or
-      dispatch immediately.
-    - ``"body"``: reading ``Content-Length`` bytes; keep feeding.
-    - ``"complete"``: :attr:`request` is fully framed (body attached when
-      one was read).  :attr:`remainder` counts any pipelined extra bytes.
-    - ``"error"``: :attr:`error` holds the connection-fatal verdict.
-
-    All buffers are bounded: the request line by
-    :data:`MAX_REQUEST_LINE_BYTES`, the header block by
-    :data:`MAX_HEADER_BYTES` / :data:`MAX_HEADER_COUNT`, the body by the
-    dispatch-level :data:`MAX_BODY_BYTES` check (413 before
-    :meth:`begin_body` is ever called).
+class _MessageParser:
+    """The framing both directions share: one start line, a bounded header
+    block, a ``Content-Length`` body — fed in whatever chunks the socket
+    produced.  Subclasses parse the start line and decide what follows the
+    header block.
     """
+
+    #: The verdict on a start line longer than :data:`MAX_REQUEST_LINE_BYTES`.
+    _LINE_TOO_LONG: Tuple[int, str, str]
 
     def __init__(self) -> None:
         self._buffer = bytearray()
@@ -244,14 +256,15 @@ class RequestParser:
         self._body_remaining = 0
         self._header_bytes = 0
         self._last_header: Optional[str] = None
+        #: The message being framed (set once its start line parsed).
+        self._message: Any = None
         self.state = "line"
         self.started = False
-        self.request: Optional[ParsedRequest] = None
         self.error: Optional[_FramingError] = None
 
     @property
     def remainder(self) -> int:
-        """Bytes received beyond the current request (pipelining)."""
+        """Bytes received beyond the current message (pipelining)."""
         return len(self._buffer)
 
     def feed(self, data: bytes) -> None:
@@ -260,15 +273,6 @@ class RequestParser:
             return
         self._buffer.extend(data)
         self._advance()
-
-    def begin_body(self) -> None:
-        """Resume framing into the body after a ``needs_body`` verdict."""
-        assert self.state == "paused" and self.request is not None
-        length = self.request.content_length or 0
-        self._body_remaining = length
-        self.state = "body" if length > 0 else "complete"
-        if self.state == "body":
-            self._advance()
 
     def _fail(self, status: int, error_type: str, message: str) -> None:
         self.state = "error"
@@ -279,7 +283,7 @@ class RequestParser:
         while True:
             if self.state == "line":
                 if self._buffer and not self.started:
-                    # Tolerate (and skip) blank lines before the request
+                    # Tolerate (and skip) blank lines before the start
                     # line, per RFC 7230 §3.5.
                     while self._buffer[:2] == b"\r\n" or self._buffer[:1] == b"\n":
                         del self._buffer[:2 if self._buffer[:2] == b"\r\n" else 1]
@@ -288,21 +292,17 @@ class RequestParser:
                 end = self._buffer.find(b"\n")
                 if end < 0:
                     if len(self._buffer) > MAX_REQUEST_LINE_BYTES:
-                        self._fail(414, "RequestLineTooLong",
-                                   f"request line exceeds "
-                                   f"{MAX_REQUEST_LINE_BYTES} bytes")
+                        self._fail(*self._LINE_TOO_LONG)
                     return
                 line = bytes(self._buffer[:end]).rstrip(b"\r")
                 del self._buffer[:end + 1]
                 if not line and not self.started:
                     continue
                 if len(line) > MAX_REQUEST_LINE_BYTES:
-                    self._fail(414, "RequestLineTooLong",
-                               f"request line exceeds "
-                               f"{MAX_REQUEST_LINE_BYTES} bytes")
+                    self._fail(*self._LINE_TOO_LONG)
                     return
                 self.started = True
-                if not self._parse_request_line(line):
+                if not self._parse_start_line(line):
                     return
                 self.state = "headers"
             elif self.state == "headers":
@@ -324,42 +324,17 @@ class RequestParser:
                     del self._buffer[:take]
                     self._body_remaining -= take
                 if self._body_remaining == 0:
-                    assert self.request is not None
-                    self.request.body = bytes(self._body)
+                    self._message.body = bytes(self._body)
                     self.state = "complete"
                 return
             else:  # paused / complete / error: nothing to do
                 return
 
-    def _parse_request_line(self, line: bytes) -> bool:
-        try:
-            text = line.decode("latin-1")
-        except Exception:  # pragma: no cover - latin-1 cannot fail
-            text = repr(line)
-        parts = text.split()
-        if len(parts) != 3:
-            self._fail(400, "BadRequest",
-                       f"malformed request line {text[:100]!r}")
-            return False
-        method, target, version = parts
-        if not version.startswith("HTTP/") or version.count(".") != 1:
-            self._fail(400, "BadRequest",
-                       f"malformed HTTP version {version[:20]!r}")
-            return False
-        try:
-            major, minor = version[5:].split(".")
-            version_tuple = (int(major), int(minor))
-        except ValueError:
-            self._fail(400, "BadRequest",
-                       f"malformed HTTP version {version[:20]!r}")
-            return False
-        if version_tuple[0] != 1:
-            self._fail(505, "HTTPVersionNotSupported",
-                       f"unsupported HTTP version {version[:20]!r}")
-            return False
-        self.request = ParsedRequest(method=method, target=target,
-                                     version=version_tuple, headers=Headers())
-        return True
+    def _parse_start_line(self, line: bytes) -> bool:
+        raise NotImplementedError
+
+    def _finish_headers(self) -> None:
+        raise NotImplementedError
 
     def _header_pressure(self, pending: int) -> None:
         if self._header_bytes + pending > MAX_HEADER_BYTES:
@@ -367,13 +342,13 @@ class RequestParser:
                        f"header section exceeds {MAX_HEADER_BYTES} bytes")
 
     def _parse_header_line(self, line: bytes) -> bool:
-        assert self.request is not None
+        headers: Headers = self._message.headers
         self._header_bytes += len(line) + 2
         if self._header_bytes > MAX_HEADER_BYTES:
             self._fail(431, "HeadersTooLarge",
                        f"header section exceeds {MAX_HEADER_BYTES} bytes")
             return False
-        if len(self.request.headers) >= MAX_HEADER_COUNT:
+        if len(headers) >= MAX_HEADER_COUNT:
             self._fail(431, "HeadersTooLarge",
                        f"more than {MAX_HEADER_COUNT} header lines")
             return False
@@ -384,15 +359,86 @@ class RequestParser:
                 self._fail(400, "BadRequest",
                            "continuation line before any header")
                 return False
-            self.request.headers.fold_into_last(self._last_header, text.strip())
+            headers.fold_into_last(self._last_header, text.strip())
             return True
         name, separator, value = text.partition(":")
         if not separator or not name or name != name.strip():
             self._fail(400, "BadRequest",
                        f"malformed header line {text[:100]!r}")
             return False
-        self.request.headers.add(name, value.strip())
+        headers.add(name, value.strip())
         self._last_header = name
+        return True
+
+
+def _parse_http_version(version: str) -> Optional[Tuple[int, int]]:
+    """``"HTTP/1.1"`` → ``(1, 1)``; ``None`` when it is not of that shape."""
+    if not version.startswith("HTTP/") or version.count(".") != 1:
+        return None
+    try:
+        major, minor = version[5:].split(".")
+        return int(major), int(minor)
+    except ValueError:
+        return None
+
+
+class RequestParser(_MessageParser):
+    """An incremental HTTP/1.1 request parser (one request at a time).
+
+    Feed raw socket bytes with :meth:`feed`; watch :attr:`state`:
+
+    - ``"line"`` / ``"headers"``: still framing, keep feeding.
+    - ``"paused"``: the header block is complete and :attr:`request` is
+      set (body unread).  The transport must consult
+      :meth:`Dispatcher.needs_body` and either :meth:`begin_body` or
+      dispatch immediately.
+    - ``"body"``: reading ``Content-Length`` bytes; keep feeding.
+    - ``"complete"``: :attr:`request` is fully framed (body attached when
+      one was read).  :attr:`remainder` counts any pipelined extra bytes.
+    - ``"error"``: :attr:`error` holds the connection-fatal verdict.
+
+    All buffers are bounded: the request line by
+    :data:`MAX_REQUEST_LINE_BYTES`, the header block by
+    :data:`MAX_HEADER_BYTES` / :data:`MAX_HEADER_COUNT`, the body by the
+    dispatch-level :data:`MAX_BODY_BYTES` check (413 before
+    :meth:`begin_body` is ever called).
+    """
+
+    _LINE_TOO_LONG = (414, "RequestLineTooLong",
+                      f"request line exceeds {MAX_REQUEST_LINE_BYTES} bytes")
+
+    @property
+    def request(self) -> Optional[ParsedRequest]:
+        return self._message
+
+    def begin_body(self) -> None:
+        """Resume framing into the body after a ``needs_body`` verdict."""
+        assert self.state == "paused" and self.request is not None
+        length = self.request.content_length or 0
+        self._body_remaining = length
+        self.state = "body" if length > 0 else "complete"
+        if self.state == "body":
+            self._advance()
+
+    def _parse_start_line(self, line: bytes) -> bool:
+        text = line.decode("latin-1")
+        parts = text.split()
+        if len(parts) != 3:
+            self._fail(400, "BadRequest",
+                       f"malformed request line {text[:100]!r}")
+            return False
+        method, target, version = parts
+        version_tuple = _parse_http_version(version)
+        if version_tuple is None:
+            self._fail(400, "BadRequest",
+                       f"malformed HTTP version {version[:20]!r}")
+            return False
+        if version_tuple[0] != 1:
+            self._fail(505, "HTTPVersionNotSupported",
+                       f"unsupported HTTP version {version[:20]!r}")
+            return False
+        self._message = ParsedRequest(method=method, target=target,
+                                      version=version_tuple, headers=Headers())
         return True
 
     def _finish_headers(self) -> None:
@@ -410,6 +456,60 @@ class RequestParser:
                 if request.content_length < 0:
                     request.content_length = -1
         self.state = "paused"
+
+
+class ResponseParser(_MessageParser):
+    """The response side of the same framing (one response at a time).
+
+    What the coordinator's shard connection reads with: feed it what
+    ``recv`` returned until :attr:`state` is ``"complete"``
+    (:attr:`response` is framed, body attached) or ``"error"``
+    (:attr:`error` says why the bytes are not a response these servers
+    send).  It never pauses — a response's body always follows — and it
+    accepts exactly what :meth:`WireResponse.encode_head` emits: a status
+    line, a header block under the request side's caps and a numeric
+    ``Content-Length`` of at most :data:`MAX_BODY_BYTES`; no chunked
+    bodies, no read-until-close.  :attr:`started` stays false until the
+    first byte of the status line arrives, which is how a caller tells a
+    keep-alive socket the server had already closed (safe to retry) from
+    a response cut short (not).
+    """
+
+    _LINE_TOO_LONG = (502, "BadResponse",
+                      f"status line exceeds {MAX_REQUEST_LINE_BYTES} bytes")
+
+    @property
+    def response(self) -> Optional[ParsedResponse]:
+        return self._message
+
+    def _parse_start_line(self, line: bytes) -> bool:
+        text = line.decode("latin-1")
+        version, _, rest = text.partition(" ")
+        status, _, reason = rest.strip().partition(" ")
+        version_tuple = _parse_http_version(version)
+        if (version_tuple is None or version_tuple[0] != 1
+                or len(status) != 3 or not status.isdecimal()):
+            self._fail(502, "BadResponse",
+                       f"malformed status line {text[:100]!r}")
+            return False
+        self._message = ParsedResponse(status=int(status), reason=reason.strip(),
+                                       version=version_tuple, headers=Headers())
+        return True
+
+    def _finish_headers(self) -> None:
+        headers: Headers = self._message.headers
+        raw_length = headers.get("Content-Length", "")
+        if "Transfer-Encoding" in headers or not raw_length.isdecimal():
+            self._fail(502, "BadResponse",
+                       "response without a numeric Content-Length "
+                       f"(got {raw_length[:20]!r})")
+        elif int(raw_length) > MAX_BODY_BYTES:
+            self._fail(502, "BadResponse",
+                       f"response body exceeds {MAX_BODY_BYTES} bytes")
+        else:
+            self._body_remaining = int(raw_length)
+            self.state = "body"
+            self._advance()
 
 
 class Dispatcher:

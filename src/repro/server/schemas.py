@@ -47,6 +47,7 @@ __all__ = [
     "parse_shard_scan_request",
     "render_result",
     "render_results",
+    "render_partition_row",
     "render_partition_scan",
     "error_body",
     "status_for",
@@ -362,37 +363,36 @@ def render_results(results: List[QueryResult], batched: bool) -> Dict[str, Any]:
     return render_result(results[0])
 
 
-def render_partition_scan(partition_id: str, neighbours, *, nodes_visited: int,
-                          points_examined: int, elapsed_seconds: float,
-                          cost: Optional[SearchCost] = None) -> Dict[str, Any]:
+def render_partition_row(point) -> Dict[str, Any]:
+    """One row of a shard's row table: embedded coordinates + lossless triple."""
+    return {"coordinates": list(point.coordinates),
+            "triple": triple_to_dict(point.label)}
+
+
+def render_partition_scan(partition_id: str, rows_id: str, rows, *,
+                          nodes_visited: int, points_examined: int,
+                          elapsed_seconds: float, cost: SearchCost) -> Dict[str, Any]:
     """One shard scan as a JSON-native dictionary.
 
-    Matches carry the lossless triple dictionary, the stored point's
-    embedded coordinates and the distance; shards do not know document
-    provenance (the coordinator owns the provenance map and dresses merged
-    results itself).  JSON floats round-trip exactly in Python, so the
-    coordinator's merge sees bit-identical distances.  The ``cost``
-    counters cross the wire so the coordinator can report cluster-wide
-    work; older shards simply omit the key.
+    ``rows`` is the scan's answer as ``[row, distance]`` pairs, nearest
+    first: ``row`` indexes the table the shard numbered at boot and
+    publishes at ``GET /v1/shard/rows``, ``rows_id`` names that table, and
+    the coordinator resolves a row to its point and triple only while the
+    two ids agree.  Shards do not know document provenance (the coordinator
+    owns the provenance map and dresses merged results itself).  JSON
+    floats round-trip exactly in Python, so the coordinator's merge sees
+    bit-identical distances.  The ``cost`` counters cross the wire so the
+    coordinator can report cluster-wide work.
     """
-    payload = {
+    return {
         "partition_id": partition_id,
-        "matches": [
-            {
-                "triple": triple_to_dict(neighbour.point.label),
-                "text": str(neighbour.point.label),
-                "coordinates": list(neighbour.point.coordinates),
-                "distance": neighbour.distance,
-            }
-            for neighbour in neighbours
-        ],
+        "rows_id": rows_id,
+        "rows": rows,
         "nodes_visited": nodes_visited,
         "points_examined": points_examined,
         "latency_ms": elapsed_seconds * 1000.0,
+        "cost": cost.to_dict(),
     }
-    if cost is not None:
-        payload["cost"] = cost.to_dict()
-    return payload
 
 
 # -- errors --------------------------------------------------------------------------------

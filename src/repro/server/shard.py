@@ -11,24 +11,35 @@ semantic distance, no FastMap space, no query cache, no WAL: exactness and
 caching live in the coordinator, durability in the checkpoint the shard
 booted from.
 
+A scan answers in *row ids*: the shard numbers its partition's points once
+at boot, publishes that table (coordinates + lossless triple per row) at
+``GET /v1/shard/rows`` under a ``rows_id`` computed from its content, and
+each scan response carries ``[row, distance]`` pairs plus the ``rows_id``
+they index — the coordinator fetches the table once per replica and
+resolves rows locally, so the per-scan message carries no triples.
+
 :class:`ShardApp` is a :class:`~repro.server.shell.ServiceShell` like the
 other tiers, so the same :class:`~repro.server.http.SemTreeServer` binds it.
 """
 
 from __future__ import annotations
 
+import json
 import threading
 import time
+from binascii import crc32
 from collections import Counter
-from typing import TYPE_CHECKING, Any, Callable, Dict, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Tuple
 
 from repro.core.distributed import scan_subtree_knn, scan_subtree_range
 from repro.core.knn import KSearchState
+from repro.core.node import Node
 from repro.core.point import LabeledPoint
 from repro.errors import SchemaError
 from repro.obs.tracing import annotate_span, span
 from repro.server.bootstrap import ShardBoot
-from repro.server.schemas import parse_shard_scan_request, render_partition_scan
+from repro.server.schemas import (parse_shard_scan_request, render_partition_row,
+                                  render_partition_scan)
 from repro.server.shell import ServiceShell
 from repro.service.planner import QueryKind
 
@@ -36,6 +47,30 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.semtree import SemTreeIndex
 
 __all__ = ["ShardApp"]
+
+
+def _number_rows(boot: ShardBoot) -> Tuple[List[LabeledPoint], str]:
+    """The partition's points in row order, and the ``rows_id`` naming that table.
+
+    The id is the snapshot generation, the row count and a CRC-32 over every
+    rendered row: replicas booted from one snapshot agree on it, a reboot
+    from another snapshot of the same partition id does not.  (``binascii``
+    because it is loaded already; ``hashlib`` costs each process 3 MB.)
+    """
+    rows: List[LabeledPoint] = []
+    checksum = 0
+    stack = [boot.root]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            for point in node.bucket:
+                rows.append(point)
+                checksum = crc32(
+                    json.dumps(render_partition_row(point)).encode("utf-8"), checksum)
+            continue
+        stack.extend(child for child in (node.right, node.left)
+                     if isinstance(child, Node))
+    return rows, f"{boot.generation}-{len(rows)}-{checksum:08x}"
 
 
 class ShardApp(ServiceShell):
@@ -59,6 +94,9 @@ class ShardApp(ServiceShell):
         self.partition_id = boot.partition_id
         self.root = boot.root
         self.config = boot.config
+        self._rows, self.rows_id = _number_rows(boot)
+        # Keyed by identity: scans hand back the very objects the leaves hold.
+        self._row_of = {id(point): row for row, point in enumerate(self._rows)}
         self._nodes_visited = 0
         self._points_examined = 0
         self._scan_seconds = 0.0
@@ -127,7 +165,8 @@ class ShardApp(ServiceShell):
         }
 
     def get_routes(self) -> Dict[str, Callable[[Dict[str, str]], Any]]:
-        return {**super().get_routes(), "/v1/shard": self.shard_info}
+        return {**super().get_routes(), "/v1/shard": self.shard_info,
+                "/v1/shard/rows": self.shard_rows}
 
     # -- scan endpoints -----------------------------------------------------------------
 
@@ -178,8 +217,11 @@ class ShardApp(ServiceShell):
         self.slow_query_log.observe(kind=endpoint, latency_seconds=elapsed,
                                     visited_partitions=(self.partition_id,),
                                     cost=cost_counters)
+        row_of = self._row_of
         return render_partition_scan(
-            self.partition_id, neighbours,
+            self.partition_id, self.rows_id,
+            [[row_of[id(neighbour.point)], neighbour.distance]
+             for neighbour in neighbours],
             nodes_visited=state.nodes_visited,
             points_examined=state.points_examined,
             elapsed_seconds=elapsed,
@@ -212,6 +254,16 @@ class ShardApp(ServiceShell):
             "snapshot_partitions": list(self.boot.partition_ids),
             "dimensions": self.config.dimensions,
             "kernel": self.config.scan_kernel,
+        }
+
+    def shard_rows(self, params: Dict[str, str]) -> Dict[str, Any]:
+        """``GET /v1/shard/rows`` — the row table scan responses index into."""
+        self._check_open()
+        self._count("shard_rows")
+        return {
+            "partition_id": self.partition_id,
+            "rows_id": self.rows_id,
+            "rows": [render_partition_row(point) for point in self._rows],
         }
 
     def metrics(self) -> Dict[str, Any]:

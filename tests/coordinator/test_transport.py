@@ -100,13 +100,19 @@ class TestHttpShardTransport:
         simulated = SimulatedClusterTransport(index.tree)
         point = _queries(index, triples)[0]
         for pid in data_partitions:
-            over_http = http.scan_knn(pid, point, 4)
-            in_process = simulated.scan_knn(pid, point, 4)
-            assert [n.distance for n in over_http.neighbours] == \
-                   [n.distance for n in in_process.neighbours]
-            assert [n.point.coordinates for n in over_http.neighbours] == \
-                   [n.point.coordinates for n in in_process.neighbours]
-            assert over_http.points_examined == in_process.points_examined
+            for over_http, in_process in (
+                    (http.scan_knn(pid, point, 4), simulated.scan_knn(pid, point, 4)),
+                    (http.scan_range(pid, point, 10.0), simulated.scan_range(pid, point, 10.0))):
+                assert over_http.neighbours
+                assert [n.distance for n in over_http.neighbours] == \
+                       [n.distance for n in in_process.neighbours]
+                assert [n.point.coordinates for n in over_http.neighbours] == \
+                       [n.point.coordinates for n in in_process.neighbours]
+                # rows resolved through /v1/shard/rows name the stored triples
+                assert [n.point.label for n in over_http.neighbours] == \
+                       [n.point.label for n in in_process.neighbours]
+                assert over_http.points_examined == in_process.points_examined
+                assert over_http.cost.to_dict() == in_process.cost.to_dict()
 
     def test_unknown_partition_raises_shard_error(self, shard_fleet, make_transport,
                                                   corpus_index):

@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 from server_corpus import BASE_TRIPLES
+from repro.core.point import LabeledPoint
 from repro.errors import IndexError_, PartitionError, ServerError
 from repro.ingest import IngestingIndex
+from repro.io.serialization import triple_from_dict
 from repro.server import SemTreeServer, ShardApp, load_shard
 from repro.server.__main__ import build_server
 from repro.workloads import ServerClient
@@ -35,6 +37,20 @@ def shard(make_base):
         server.close()
 
 
+def resolve(client, wire):
+    """A scan's ``rows`` through the shard's published table: (point, distance) pairs."""
+    table = client.request("GET", "/v1/shard/rows")
+    assert table["partition_id"] == wire["partition_id"]
+    assert table["rows_id"] == wire["rows_id"]
+    points = [LabeledPoint.of(row["coordinates"], label=triple_from_dict(row["triple"]))
+              for row in table["rows"]]
+    return [(points[row], distance) for row, distance in wire["rows"]]
+
+
+def local(neighbours):
+    return [(n.point, n.distance) for n in neighbours]
+
+
 class TestScanEndpoints:
     def test_knn_scan_equals_local_partition_scan(self, shard):
         index, partition_id, _, client = shard
@@ -42,8 +58,8 @@ class TestScanEndpoints:
         wire = client.shard_knn(point.coordinates, 3)
         state = index.tree.scan_partition_knn(partition_id, point, 3)
         assert wire["partition_id"] == partition_id
-        assert [m["distance"] for m in wire["matches"]] == \
-               [n.distance for n in state.results.neighbours()]
+        # labels, coordinates and distances, exactly
+        assert resolve(client, wire) == local(state.results.neighbours())
         assert wire["points_examined"] == state.points_examined
 
     def test_range_scan_equals_local_partition_scan(self, shard):
@@ -51,16 +67,34 @@ class TestScanEndpoints:
         point = index.embed_query(BASE_TRIPLES[1])
         wire = client.shard_range(point.coordinates, 0.3)
         state = index.tree.scan_partition_range(partition_id, point, 0.3)
-        assert [m["distance"] for m in wire["matches"]] == \
-               [n.distance for n in state.sorted_results()]
+        assert wire["rows"]
+        assert resolve(client, wire) == local(state.sorted_results())
 
-    def test_matches_carry_lossless_triples_and_coordinates(self, shard):
+    def test_scans_have_one_shape_and_carry_no_triples(self, shard):
         index, _, _, client = shard
         point = index.embed_query(BASE_TRIPLES[0])
-        wire = client.shard_knn(point.coordinates, 2)
-        for match in wire["matches"]:
-            assert {"triple", "text", "coordinates", "distance"} <= set(match)
-            assert len(match["coordinates"]) == index.config.dimensions
+        for wire in (client.shard_knn(point.coordinates, 2),
+                     client.shard_range(point.coordinates, 0.3)):
+            assert set(wire) == {"partition_id", "rows_id", "rows", "nodes_visited",
+                                 "points_examined", "latency_ms", "cost"}
+            assert all(isinstance(row, int) and isinstance(distance, float)
+                       for row, distance in wire["rows"])
+
+    def test_matches_carry_lossless_triples_and_coordinates(self, shard):
+        """...through the row table, which numbers every stored point once."""
+        index, partition_id, _, client = shard
+        table = client.request("GET", "/v1/shard/rows")
+        assert set(table) == {"partition_id", "rows_id", "rows"}
+        stored = [(p.coordinates, p.label)
+                  for node in index.tree.partition(partition_id).local_nodes()
+                  if node.is_leaf for p in node.bucket]
+        published = [(tuple(row["coordinates"]), triple_from_dict(row["triple"]))
+                     for row in table["rows"]]
+        assert sorted(published, key=repr) == sorted(stored, key=repr)
+        # The id names the content: the same partition renders the same id,
+        # in this process or another.
+        assert ShardApp.from_index(index, partition_id).rows_id == table["rows_id"]
+        assert client.request("GET", "/v1/shard/rows")["rows_id"] == table["rows_id"]
 
     def test_full_query_api_is_absent(self, shard):
         _, _, _, client = shard
@@ -166,8 +200,9 @@ class TestSnapshotBoot:
             point = index.embed_query(BASE_TRIPLES[0])
             wire = client.shard_knn(point.coordinates, 4)
             state = index.tree.scan_partition_knn(partition_id, point, 4)
-            assert [m["distance"] for m in wire["matches"]] == \
-                   [n.distance for n in state.results.neighbours()]
+            assert resolve(client, wire) == local(state.results.neighbours())
+            # Booted from the snapshot or sharing the built tree: one table.
+            assert wire["rows_id"] == ShardApp.from_index(index, partition_id).rows_id
 
     def test_cli_refuses_a_stale_wal_tail(self, checkpoint, tmp_path):
         index, snapshot = checkpoint
