@@ -44,7 +44,7 @@ class CoordinatorApp(EngineShell):
 
     def _bind_registry(self) -> None:
         super()._bind_registry()
-        self.index.bind_registry(self.registry)
+        self.registry.adopt(self.index.registry)
 
     def get_routes(self) -> Dict[str, Callable[[Dict[str, str]], Any]]:
         return {**super().get_routes(), "/v1/topology": self.topology}

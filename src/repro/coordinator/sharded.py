@@ -59,6 +59,7 @@ from repro.core.node import Node, RemoteChild
 from repro.core.point import LabeledPoint
 from repro.core.semtree import SearchOutcome, SemanticMatch, SemTreeIndex
 from repro.errors import QueryError, ShardError
+from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import annotate_span, capture_context, resume_context, span
 from repro.rdf.triple import Triple
 from repro.service.metrics import percentile
@@ -72,57 +73,16 @@ __all__ = ["ShardedIndex"]
 LATENCY_SAMPLE_LIMIT = 4096
 
 
-#: ``(key in HttpShardTransport.client_stats(), metric name, help)``.
-_TRANSPORT_COUNTERS = (
-    ("requests", "repro_transport_requests_total",
-     "Shard HTTP requests issued by the coordinator, by partition."),
-    ("connections_opened", "repro_transport_connections_opened_total",
-     "TCP connections the shard transport opened, by partition."),
-    ("requests_reused", "repro_transport_requests_reused_total",
-     "Shard requests served over a reused keep-alive socket."),
-    ("stale_retries", "repro_transport_stale_retries_total",
-     "Shard requests retried once after a stale keep-alive socket."),
-)
-
-#: The same for ``failover_stats()``.
-_FAILOVER_COUNTERS = (
-    ("retries", "repro_shard_retries_total",
-     "Shard scan attempts retried after a replica failure, by partition."),
-    ("failovers", "repro_shard_failovers_total",
-     "Scan retries that moved to a different replica, by partition."),
-    ("hedges", "repro_shard_hedges_total",
-     "Duplicate hedge requests issued to a second replica, by partition."),
-    ("hedge_wins", "repro_shard_hedge_wins_total",
-     "Hedged scans where the duplicate answered first, by partition."),
-    ("circuit_opens", "repro_shard_circuit_opens_total",
-     "Replica circuit-breaker trips, by partition."),
-    ("circuit_shed", "repro_shard_circuit_shed_total",
-     "Scan attempts skipped because a replica circuit was open."),
-)
-
-
-class _ShardStats:
-    """Per-shard observability: scan counts, failures, latency samples."""
-
-    __slots__ = ("scans", "failures", "latencies")
-
-    def __init__(self) -> None:
-        self.scans = 0
-        self.failures = 0
-        self.latencies: deque = deque(maxlen=LATENCY_SAMPLE_LIMIT)
-
-    def to_dict(self) -> Dict[str, object]:
-        samples = list(self.latencies)
-        return {
-            "scans": self.scans,
-            "failures": self.failures,
-            "latency_ms": {
-                "mean": (sum(samples) / len(samples) * 1000.0) if samples else 0.0,
-                "p50": percentile(samples, 0.50) * 1000.0 if samples else 0.0,
-                "p99": percentile(samples, 0.99) * 1000.0 if samples else 0.0,
-                "max": max(samples) * 1000.0 if samples else 0.0,
-            },
-        }
+def _latency_block(samples: List[float]) -> Dict[str, float]:
+    """One shard's ``latency_ms`` over its retained round-trip samples (seconds)."""
+    if not samples:
+        return {"mean": 0.0, "p50": 0.0, "p99": 0.0, "max": 0.0}
+    return {
+        "mean": sum(samples) / len(samples) * 1000.0,
+        "p50": percentile(samples, 0.50) * 1000.0,
+        "p99": percentile(samples, 0.99) * 1000.0,
+        "max": max(samples) * 1000.0,
+    }
 
 
 class ShardedIndex:
@@ -166,12 +126,37 @@ class ShardedIndex:
         self._executor = ThreadPoolExecutor(
             max_workers=scatter_workers, thread_name_prefix="semtree-scatter"
         )
+        # Guards the per-shard sample windows only; the counts are instruments.
         self._stats_lock = threading.Lock()
-        self._shard_stats: Dict[str, _ShardStats] = {}
-        self._queries = 0
-        self._scans = 0
-        self._degraded = 0
-        self._roundtrip_histogram = None
+        self._latencies: Dict[str, deque] = {
+            partition_id: deque(maxlen=LATENCY_SAMPLE_LIMIT)
+            for partition_id in self._data_partitions}
+        self.registry = registry = MetricsRegistry()
+        registry.gauge(
+            "repro_shard_partitions", "Data-bearing partitions behind the coordinator.",
+        ).set(float(len(self._data_partitions)))
+        self._queries = registry.counter(
+            "repro_scatter_queries_total", "Queries scattered across the shard fleet.",
+        ).labels()
+        self._shard_scans = registry.counter(
+            "repro_shard_scans_total", "Partition scans issued, by partition.",
+            ("partition",))
+        self._shard_failures = registry.counter(
+            "repro_shard_scan_failures_total", "Failed partition scans, by partition.",
+            ("partition",))
+        self._degraded = registry.counter(
+            "repro_degraded_queries_total",
+            "Queries answered partially (allow_partial) after shard failures.",
+        ).labels()
+        self._roundtrip_histogram = registry.histogram(
+            "repro_shard_roundtrip_seconds",
+            "Coordinator-observed shard scan round trip, by partition.",
+            ("partition",))
+        # HTTP deployments only (the simulated transport has no sockets, no
+        # replicas): the transport's own per-partition series.
+        transport_registry = getattr(transport, "registry", None)
+        if transport_registry is not None:
+            registry.adopt(transport_registry)
         self._closed = False
 
     # -- the serving protocol (ServableIndex) -------------------------------------------
@@ -336,80 +321,21 @@ class ShardedIndex:
 
     def _record(self, scans: Dict[str, PartitionScan], failed: Dict[str, str],
                 *, degraded: bool = False) -> None:
+        self._queries.inc()
+        if degraded:
+            self._degraded.inc()
         with self._stats_lock:
-            self._queries += 1
-            self._scans += len(scans) + len(failed)
-            if degraded:
-                self._degraded += 1
             for partition_id, scan in scans.items():
-                stats = self._shard_stats.setdefault(partition_id, _ShardStats())
-                stats.scans += 1
-                stats.latencies.append(scan.elapsed_seconds)
-            for partition_id in failed:
-                stats = self._shard_stats.setdefault(partition_id, _ShardStats())
-                stats.failures += 1
-            histogram = self._roundtrip_histogram
-        if histogram is not None:
-            for partition_id, scan in scans.items():
-                histogram.labels(partition_id).observe(scan.elapsed_seconds)
-
-    # -- exposition ---------------------------------------------------------------------
-
-    def bind_registry(self, registry) -> None:
-        """Mirror the scatter-gather counters into a Prometheus registry.
-
-        Same contract as :meth:`ServiceMetrics.bind_registry`: scrape-time
-        callbacks read the locked state behind :meth:`statistics`; per-shard
-        round trips additionally feed a labelled histogram.
-        """
-        def locked(attribute: str):
-            def read() -> float:
-                with self._stats_lock:
-                    return float(getattr(self, attribute))
-            return read
-
-        registry.gauge(
-            "repro_shard_partitions", "Data-bearing partitions behind the coordinator.",
-        ).set(float(len(self._data_partitions)))
-        registry.counter(
-            "repro_scatter_queries_total", "Queries scattered across the shard fleet.",
-        ).set_function(locked("_queries"))
-        registry.counter(
-            "repro_shard_scans_total", "Partition scans issued, by partition.",
-            ("partition",),
-        ).set_callback(lambda: self._per_shard_totals("scans"))
-        registry.counter(
-            "repro_shard_scan_failures_total", "Failed partition scans, by partition.",
-            ("partition",),
-        ).set_callback(lambda: self._per_shard_totals("failures"))
-        registry.counter(
-            "repro_degraded_queries_total",
-            "Queries answered partially (allow_partial) after shard failures.",
-        ).set_function(locked("_degraded"))
-        with self._stats_lock:
-            self._roundtrip_histogram = registry.histogram(
-                "repro_shard_roundtrip_seconds",
-                "Coordinator-observed shard scan round trip, by partition.",
-                ("partition",),
-            )
-        # HTTP deployments only (the simulated transport has no sockets, no
-        # replicas): the transport's own per-partition counters, read at
-        # scrape time like the ones above.
-        for source, counters in (("client_stats", _TRANSPORT_COUNTERS),
-                                 ("failover_stats", _FAILOVER_COUNTERS)):
-            read_stats = getattr(self.transport, source, None)
-            if read_stats is None:
-                continue
-            for key, name, documentation in counters:
-                registry.counter(name, documentation, ("partition",)).set_callback(
-                    lambda read_stats=read_stats, key=key: {
-                        (partition_id,): float(stats.get(key, 0))
-                        for partition_id, stats in read_stats().items()})
-
-    def _per_shard_totals(self, attribute: str) -> Dict[Tuple[str, ...], float]:
-        with self._stats_lock:
-            return {(partition_id,): float(getattr(stats, attribute))
-                    for partition_id, stats in self._shard_stats.items()}
+                self._latencies[partition_id].append(scan.elapsed_seconds)
+        # ``labels`` alone creates the series: a shard's scans and failures
+        # appear together, the other at 0, from its first scan either way.
+        for partition_id, scan in scans.items():
+            self._shard_scans.labels(partition_id).inc()
+            self._shard_failures.labels(partition_id)
+            self._roundtrip_histogram.labels(partition_id).observe(scan.elapsed_seconds)
+        for partition_id in failed:
+            self._shard_failures.labels(partition_id).inc()
+            self._shard_scans.labels(partition_id)
 
     # -- range partition pruning --------------------------------------------------------
 
@@ -455,19 +381,29 @@ class ShardedIndex:
 
     def statistics(self) -> Dict[str, object]:
         """Scatter-gather counters: totals, fan-out, per-shard latency."""
+        # Copy the windows under the lock every scatter's ``_record`` needs,
+        # sort them for the percentiles after releasing it.
         with self._stats_lock:
-            per_shard = {
-                partition_id: stats.to_dict()
-                for partition_id, stats in sorted(self._shard_stats.items())
-            }
-            queries, scans, degraded = self._queries, self._scans, self._degraded
+            windows = {partition_id: list(window)
+                       for partition_id, window in self._latencies.items()}
+        shard_scans = self._shard_scans.by_label()
+        shard_failures = self._shard_failures.by_label()
+        queries = self._queries.get()
+        scans = sum(shard_scans.values()) + sum(shard_failures.values())
         statistics: Dict[str, object] = {
             "partitions": len(self._data_partitions),
             "queries": queries,
             "scans": scans,
-            "degraded_queries": degraded,
+            "degraded_queries": self._degraded.get(),
             "fan_out_mean": (scans / queries) if queries else 0.0,
-            "per_shard": per_shard,
+            "per_shard": {
+                partition_id: {
+                    "scans": scans_of_shard,
+                    "failures": shard_failures.get(partition_id, 0),
+                    "latency_ms": _latency_block(windows[partition_id]),
+                }
+                for partition_id, scans_of_shard in sorted(shard_scans.items())
+            },
         }
         failover_stats = getattr(self.transport, "failover_stats", None)
         if failover_stats is not None:

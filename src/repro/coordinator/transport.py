@@ -56,12 +56,42 @@ from repro.coordinator.topology import ShardTopology
 from repro.errors import ServerError, ShardError
 from repro.faults import FaultPlan, InjectedFault
 from repro.io.serialization import triple_from_dict
+from repro.obs.registry import MetricFamily, MetricsRegistry
 from repro.server.connection import KeepAliveConnection
 
 __all__ = ["HttpShardTransport"]
 
 #: A replica's row table as last fetched: ``(rows_id, points in row order)``.
 RowTable = Tuple[str, Tuple[LabeledPoint, ...]]
+
+#: ``(key in failover_stats(), metric name, help)`` of the events counted here.
+_FAILOVER_COUNTERS = (
+    ("retries", "repro_shard_retries_total",
+     "Shard scan attempts retried after a replica failure, by partition."),
+    ("failovers", "repro_shard_failovers_total",
+     "Scan retries that moved to a different replica, by partition."),
+    ("hedges", "repro_shard_hedges_total",
+     "Duplicate hedge requests issued to a second replica, by partition."),
+    ("hedge_wins", "repro_shard_hedge_wins_total",
+     "Hedged scans where the duplicate answered first, by partition."),
+    ("circuit_shed", "repro_shard_circuit_shed_total",
+     "Scan attempts skipped because a replica circuit was open."),
+)
+
+#: ``(reader, key, metric name, help)`` of what the breakers and the
+#: connections count themselves: read at scrape time.
+_COMPUTED_COUNTERS = (
+    ("failover_stats", "circuit_opens", "repro_shard_circuit_opens_total",
+     "Replica circuit-breaker trips, by partition."),
+    ("client_stats", "requests", "repro_transport_requests_total",
+     "Shard HTTP requests issued by the coordinator, by partition."),
+    ("client_stats", "connections_opened", "repro_transport_connections_opened_total",
+     "TCP connections the shard transport opened, by partition."),
+    ("client_stats", "requests_reused", "repro_transport_requests_reused_total",
+     "Shard requests served over a reused keep-alive socket."),
+    ("client_stats", "stale_retries", "repro_transport_stale_retries_total",
+     "Shard requests retried once after a stale keep-alive socket."),
+)
 
 
 class HttpShardTransport:
@@ -121,12 +151,7 @@ class HttpShardTransport:
             for replica in replica_set.replicas
         }
         self._tables: Dict[Tuple[str, str], RowTable] = {}
-        self._counters_lock = threading.Lock()
-        self._counters: Dict[str, Counter] = {
-            name: Counter()
-            for name in ("retries", "failovers", "hedges", "hedge_wins",
-                         "circuit_shed", "exhausted")
-        }
+        self._create_metrics()
         # The hedge pool exists only when hedging is on; its threads issue
         # the duplicate requests so the scatter thread can race the two.
         self._hedge_pool: Optional[ThreadPoolExecutor] = (
@@ -159,6 +184,27 @@ class HttpShardTransport:
 
     # -- health / stats read surfaces ---------------------------------------------------
 
+    def _create_metrics(self) -> None:
+        """The transport's series, every partition present from the start
+        (a coordinator adopts :attr:`registry`)."""
+        self.registry = registry = MetricsRegistry()
+        self._failover = {
+            key: registry.counter(name, documentation, ("partition",))
+            for key, name, documentation in _FAILOVER_COUNTERS
+        }
+        # Scans that ran out of replicas are reported in the JSON payload
+        # only: the same instrument, left out of the registry.
+        self._failover["exhausted"] = MetricFamily(
+            "repro_shard_exhausted_total", "counter", "", ("partition",), threading.Lock())
+        for family in self._failover.values():
+            for partition_id in self._replica_sets:
+                family.labels(partition_id)
+        for reader, key, name, documentation in _COMPUTED_COUNTERS:
+            registry.counter(name, documentation, ("partition",)).set_callback(
+                lambda read=getattr(self, reader), key=key: {
+                    (partition_id,): stats.get(key, 0)
+                    for partition_id, stats in read().items()})
+
     def replica_health(self) -> Dict[str, Dict[str, object]]:
         """Per-partition replica health for ``/v1/healthz`` and ``/v1/topology``.
 
@@ -175,13 +221,11 @@ class HttpShardTransport:
 
     def failover_stats(self) -> Dict[str, Dict[str, int]]:
         """Per-partition failover counters (retries, hedges, circuit opens)."""
-        with self._counters_lock:
-            counters = {name: dict(counter)
-                        for name, counter in self._counters.items()}
+        counters = {key: family.by_label() for key, family in self._failover.items()}
         stats: Dict[str, Dict[str, int]] = {}
         for partition_id, replica_set in self._replica_sets.items():
             stats[partition_id] = {
-                name: counters[name].get(partition_id, 0) for name in counters
+                name: counters[name][partition_id] for name in counters
             }
             stats[partition_id]["circuit_opens"] = sum(
                 replica.breaker.opens for replica in replica_set.replicas
@@ -201,9 +245,8 @@ class HttpShardTransport:
         return {partition_id: dict(counter)
                 for partition_id, counter in totals.items()}
 
-    def _count(self, name: str, partition_id: str, amount: int = 1) -> None:
-        with self._counters_lock:
-            self._counters[name][partition_id] += amount
+    def _count(self, name: str, partition_id: str) -> None:
+        self._failover[name].labels(partition_id).inc()
 
     # -- the scan retry/hedge loop ------------------------------------------------------
 

@@ -1,24 +1,22 @@
-"""Bindings from domain objects onto a :class:`MetricsRegistry`.
+"""Series a serving shell adds to its registry that nothing *counts*.
 
-The serving stack keeps its hand-rolled, lock-protected counters (they
-feed the JSON ``/v1/metrics`` payload and the benchmark reports); the
-Prometheus exposition must read the *same* state.  These helpers register
-callback-backed instruments that re-read the live objects at scrape time,
-so the two formats cannot drift apart.
-
-Everything here is duck-typed on the small read surfaces the objects
-already expose (``cache.stats``, ``app.request_counts()``, ...), keeping
-``repro.obs`` free of imports from the higher layers.
+Event counts live on instruments their owners increment (see
+:mod:`repro.obs.registry`).  What is left for these helpers is state that
+is computed or owned elsewhere: process runtime (build info, uptime) and
+the result cache, whose :class:`~repro.service.cache.CacheStats` is kept
+under the cache's own lock with its entries — read through scrape-time
+functions, duck-typed on ``cache.stats`` so ``repro.obs`` imports nothing
+from the higher layers.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Mapping
+from typing import Callable, Dict
 
 from repro.obs.registry import MetricsRegistry
 
-__all__ = ["bind_cache", "bind_http_requests", "bind_runtime", "bind_wire_bytes"]
+__all__ = ["bind_cache", "bind_runtime"]
 
 
 def bind_runtime(registry: MetricsRegistry, *, role: str, version: str) -> None:
@@ -36,26 +34,6 @@ def bind_runtime(registry: MetricsRegistry, *, role: str, version: str) -> None:
     registry.gauge(
         "repro_uptime_seconds", "Seconds since the application booted.",
     ).set_function(lambda: time.monotonic() - started)
-
-
-def bind_http_requests(registry: MetricsRegistry,
-                       counts: Callable[[], Mapping[str, int]]) -> None:
-    """Expose per-endpoint request totals from a live ``counts()`` reader."""
-    registry.counter(
-        "repro_http_requests_total", "HTTP requests received, by endpoint.",
-        ("endpoint",),
-    ).set_callback(lambda: {(endpoint,): float(count)
-                            for endpoint, count in counts().items()})
-
-
-def bind_wire_bytes(registry: MetricsRegistry,
-                    totals: Callable[[], Mapping[str, int]]) -> None:
-    """Expose HTTP body bytes moved, from a live ``{"in": n, "out": n}`` reader."""
-    registry.counter(
-        "repro_http_bytes_total", "HTTP body bytes moved, by direction.",
-        ("direction",),
-    ).set_callback(lambda: {(direction,): float(count)
-                            for direction, count in totals().items()})
 
 
 def bind_cache(registry: MetricsRegistry, cache) -> None:

@@ -1,25 +1,34 @@
 """Typed metric instruments and the registry that owns them.
 
-The registry is the single source of truth behind *both* metric formats a
-server exposes: the JSON payload reads the underlying domain counters
-directly, while the Prometheus exposition reads them through scrape-time
-callbacks registered here — so the two views can never disagree.
+The instruments are the metrics *store*, not a view of one: a serving
+object (``ServiceMetrics``, ``AdmissionController``, ``ShardedIndex``, a
+shell) creates its families on a registry it owns, counts by calling
+``inc`` / ``observe`` on them, and renders its section of the JSON
+``/v1/metrics`` payload by reading them back (:meth:`MetricFamily.values`).
+The Prometheus exposition renders the same instruments, so the two formats
+cannot disagree — there is one number.  A shell publishes the families of
+the objects it was handed with :meth:`MetricsRegistry.adopt`.
 
 Three instrument types, modelled on the Prometheus data model:
 
-* :class:`Counter` — monotonically increasing totals (``inc``), or
-  callback-backed so a scrape reads a live domain counter.
+* :class:`Counter` — monotonically increasing totals (``inc``).  Integer
+  increments keep the value an ``int``, which is what keeps counts JSON
+  integers; only the exposition side (:meth:`MetricFamily.collect`)
+  converts to float.
 * :class:`Gauge` — point-in-time values (``set`` / ``set_function``).
 * :class:`Histogram` — fixed-bucket latency distributions (``observe``),
   rendered as cumulative ``_bucket`` series plus ``_sum`` / ``_count``.
 
 Instruments with label dimensions are *families*: ``family.labels(x)``
-returns (creating on first use) the child for one label-value tuple.
-Families of counters and gauges additionally accept a family-level
-callback returning ``{label_values: value}`` so dynamic label sets
-(partition ids, endpoint names) are re-enumerated at every scrape.
+returns (creating on first use) the child for one label-value tuple; a
+child that exists is found without taking a lock, so a hot path may ask
+per event.  What is computed from live state rather than counted — open
+connections, ``len(index)``, another object's own statistics — is read at
+scrape time instead: ``set_function`` on one child, or a family-level
+``set_callback`` returning ``{label_values: value}`` for a data-driven
+label set.
 
-Everything is stdlib-only and thread-safe under one registry lock; the
+Everything is stdlib-only and thread-safe (one lock per family); the
 hot-path cost of ``observe`` is a bisect plus two additions.
 """
 
@@ -28,7 +37,7 @@ from __future__ import annotations
 import re
 import threading
 from bisect import bisect_left
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ObservabilityError
 
@@ -82,11 +91,14 @@ class Counter:
 
     def __init__(self, lock: threading.Lock):
         self._lock = lock
-        self._value = 0.0
+        self._value: float = 0
         self._function: Optional[Callable[[], float]] = None
 
-    def inc(self, amount: float = 1.0) -> None:
-        """Increase the counter by ``amount`` (must be >= 0)."""
+    def inc(self, amount: float = 1) -> None:
+        """Increase the counter by ``amount`` (must be >= 0).
+
+        The value stays an ``int`` for as long as every increment is one.
+        """
         if amount < 0:
             raise ObservabilityError(f"counters can only increase, got {amount}")
         with self._lock:
@@ -102,7 +114,7 @@ class Counter:
         with self._lock:
             function = self._function
             value = self._value
-        return float(function()) if function is not None else value
+        return function() if function is not None else value
 
 
 class Gauge:
@@ -160,11 +172,6 @@ class Histogram:
         self._sum = 0.0
         self._count = 0
 
-    @property
-    def bounds(self) -> Tuple[float, ...]:
-        """The finite bucket upper bounds (``+Inf`` is implicit)."""
-        return self._bounds
-
     def observe(self, value: float) -> None:
         """Record one observation."""
         index = bisect_left(self._bounds, value)
@@ -197,6 +204,8 @@ class MetricFamily:
         self.kind = kind
         self.help_text = help_text
         self.labelnames = tuple(labelnames)
+        if kind == "histogram" and buckets is None:
+            buckets = DEFAULT_LATENCY_BUCKETS
         self.buckets = tuple(buckets) if buckets is not None else None
         self._lock = lock
         self._children: Dict[Tuple[str, ...], object] = {}
@@ -207,10 +216,16 @@ class MetricFamily:
             return Counter(self._lock)
         if self.kind == "gauge":
             return Gauge(self._lock)
-        return Histogram(self._lock, self.buckets or DEFAULT_LATENCY_BUCKETS)
+        return Histogram(self._lock, self.buckets)
 
     def labels(self, *values: object):
         """The child instrument for one label-value tuple (created on first use)."""
+        # Children are keyed by tuples of ``str`` and never removed, so a hit
+        # on the values as given is the child; anything else (first use, a
+        # non-string value, wrong arity) takes the checked path.
+        child = self._children.get(values)
+        if child is not None:
+            return child
         key = _check_label_values(self.labelnames, values)
         with self._lock:
             child = self._children.get(key)
@@ -221,7 +236,7 @@ class MetricFamily:
 
     # Convenience for label-less families: act directly as the single child.
 
-    def inc(self, amount: float = 1.0) -> None:
+    def inc(self, amount: float = 1) -> None:
         """Shorthand for ``family.labels().inc(amount)`` on label-less families."""
         self.labels().inc(amount)
 
@@ -240,16 +255,40 @@ class MetricFamily:
     def set_callback(self, callback: Callable[[], Mapping[Sequence[object], float]]) -> None:
         """Enumerate ``{label_values: value}`` at scrape time.
 
-        For counter/gauge families whose label sets are data-driven
-        (partition ids, endpoint names): the callback re-reads the live
-        domain counters on every scrape, replacing any static children.
+        For counter/gauge families over another object's own statistics
+        (per-partition socket counts, breaker trips): the callback
+        recomputes every series on each read, replacing any static children.
         """
         if self.kind == "histogram":
             raise ObservabilityError("histogram families cannot be callback-backed")
         with self._lock:
             self._callback = callback
 
-    # -- collection ---------------------------------------------------------------------
+    # -- reading ------------------------------------------------------------------------
+
+    def values(self) -> Dict[Tuple[str, ...], object]:
+        """``{label values: current value}`` for every series of the family.
+
+        The read side of the JSON payload: counter and gauge values come
+        back as stored (an ``int`` where every increment was one), a
+        histogram child as its ``(per-bucket counts, sum, count)``.
+        """
+        with self._lock:
+            callback = self._callback
+            children = list(self._children.items())
+        if callback is not None:
+            return {
+                _check_label_values(
+                    self.labelnames,
+                    raw_key if isinstance(raw_key, (tuple, list)) else (raw_key,)): value
+                for raw_key, value in callback().items()
+            }
+        return {key: child.get() for key, child in children}
+
+    def by_label(self) -> Dict[str, object]:
+        """:meth:`values` of a one-label family, keyed by the bare label value —
+        the ``{"knn": 3, "range": 1}`` shape the JSON payload uses."""
+        return {key: value for (key,), value in self.values().items()}
 
     def _label_tuple(self, values: Sequence[str],
                      extra: Tuple[Tuple[str, str], ...] = ()) -> Tuple[Tuple[str, str], ...]:
@@ -257,24 +296,14 @@ class MetricFamily:
 
     def collect(self) -> List[Sample]:
         """Flatten the family into exposition samples (histograms cumulative)."""
-        with self._lock:
-            callback = self._callback
-            children = list(self._children.items())
         samples: List[Sample] = []
-        if callback is not None:
-            for raw_key, value in sorted(callback().items(), key=lambda kv: tuple(map(str, kv[0]))):
-                key = _check_label_values(
-                    self.labelnames,
-                    raw_key if isinstance(raw_key, (tuple, list)) else (raw_key,))
-                samples.append(Sample(self.name, self._label_tuple(key), float(value)))
-            return samples
-        for key, child in sorted(children, key=lambda kv: kv[0]):
+        for key, value in sorted(self.values().items()):
             if self.kind in ("counter", "gauge"):
-                samples.append(Sample(self.name, self._label_tuple(key), child.get()))
+                samples.append(Sample(self.name, self._label_tuple(key), float(value)))
                 continue
-            counts, total, count = child.get()
+            counts, total, count = value
             cumulative = 0
-            for bound, bucket_count in zip(child.bounds, counts):
+            for bound, bucket_count in zip(self.buckets, counts):
                 cumulative += bucket_count
                 samples.append(Sample(
                     f"{self.name}_bucket",
@@ -340,6 +369,20 @@ class MetricsRegistry:
                   buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS) -> MetricFamily:
         """Register (or fetch) a histogram family with fixed ``buckets``."""
         return self._register(name, "histogram", help_text, labelnames, buckets)
+
+    def adopt(self, other: "MetricsRegistry") -> None:
+        """Publish every family of ``other`` through this registry too.
+
+        The families are shared, not copied: ``other``'s owner keeps
+        counting on them and this registry's exposition shows the live
+        values.  A name both registries already hold is an error.
+        """
+        families = other.collect()
+        with self._lock:
+            for family in families:
+                if self._families.setdefault(family.name, family) is not family:
+                    raise ObservabilityError(
+                        f"cannot adopt metric {family.name!r}: already registered")
 
     def collect(self) -> List[MetricFamily]:
         """Every registered family, in name order."""

@@ -94,7 +94,7 @@ class ServerApp(EngineShell):
 
     def _bind_registry(self) -> None:
         super()._bind_registry()
-        self.index.metrics.bind_registry(self.registry)
+        self.registry.adopt(self.index.metrics.registry)
         self.registry.gauge(
             "repro_index_points", "Points currently queryable (tree + delta).",
         ).set_function(lambda: float(len(self.index)))

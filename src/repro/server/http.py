@@ -60,7 +60,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Deque, Dict, Optional, Tuple
 
 from repro.faults import FaultPlan
-from repro.obs import export as obs_export
 from repro.obs.tracing import sanitize_trace_id
 from repro.server.protocol import (Dispatcher, ParsedRequest, RequestParser,
                                    WireResponse, shut_socket)
@@ -74,6 +73,9 @@ _RECV_SIZE = 64 * 1024
 #: finished response waited in the completion queue before the loop wrote
 #: it — the single best indicator of a saturated or stalled event loop.
 _LAG_BUCKETS = (0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0)
+
+#: Most response bodies the wire cache holds; least recently used go first.
+WIRE_CACHE_CAPACITY = 4096
 
 
 class _Connection:
@@ -143,7 +145,7 @@ class SemTreeServer:
         Size of the worker pool that runs the app (the engine below has
         its own pool; these workers parse JSON, execute handlers and
         serialise responses).
-    wire_cache / wire_cache_capacity:
+    wire_cache:
         Enable the loop-side response byte cache (see the module
         docstring) for the app's ``wire_cacheable_routes()`` — only a full
         server names any.
@@ -158,7 +160,7 @@ class SemTreeServer:
                  idle_timeout: Optional[float] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  transport_workers: int = 8,
-                 wire_cache: bool = False, wire_cache_capacity: int = 4096):
+                 wire_cache: bool = False):
         if fault_plan is None:
             fault_plan = FaultPlan.from_env()
         self.app = app
@@ -197,21 +199,19 @@ class SemTreeServer:
         self._loop_thread: Optional[threading.Thread] = None
         self._closed = False
 
-        self._wire_lock = threading.Lock()
-        self._wire_bytes: Dict[str, int] = {"in": 0, "out": 0}
-
         # -- wire cache (loop-thread state; see module docstring) ---------
         self._cache_routes = (frozenset(app.wire_cacheable_routes())
                               if wire_cache else frozenset())
-        self._cache_capacity = wire_cache_capacity
         self._cache: "collections.OrderedDict[tuple, bytes]" = \
             collections.OrderedDict()
         self._cache_epoch: tuple = ()
-        self._cache_hits = 0
-        self._cache_misses = 0
 
         registry = app.registry
-        obs_export.bind_wire_bytes(registry, self.wire_bytes)
+        self._wire_bytes = registry.counter(
+            "repro_http_bytes_total", "HTTP body bytes moved, by direction.",
+            ("direction",))
+        for direction in ("in", "out"):     # both series from boot, at 0
+            self._wire_bytes.labels(direction)
         registry.gauge(
             "repro_open_connections",
             "Live HTTP connections held by the transport.",
@@ -221,29 +221,27 @@ class SemTreeServer:
             "Delay between a response finishing and the event loop "
             "writing it (completion-queue wait).",
             buckets=_LAG_BUCKETS)
-        registry.counter(
+        self._cache_hits = registry.counter(
             "repro_wire_cache_hits_total",
             "Responses served from the transport's wire cache.",
-        ).set_function(lambda: float(self._cache_hits))
-        registry.counter(
+        ).labels()
+        self._cache_misses = registry.counter(
             "repro_wire_cache_misses_total",
             "Cacheable requests the wire cache could not serve.",
-        ).set_function(lambda: float(self._cache_misses))
+        ).labels()
 
     # -- wire accounting (fed by the Dispatcher + the cache path) ---------------------
 
     def record_wire_bytes(self, direction: str, count: int) -> None:
-        with self._wire_lock:
-            self._wire_bytes[direction] += count
+        self._wire_bytes.labels(direction).inc(count)
 
     def wire_bytes(self) -> Dict[str, int]:
         """HTTP body bytes moved so far, keyed ``in`` / ``out``."""
-        with self._wire_lock:
-            return dict(self._wire_bytes)
+        return self._wire_bytes.by_label()
 
     def wire_cache_stats(self) -> Dict[str, int]:
         """Wire-cache counters: ``hits`` / ``misses`` / ``entries``."""
-        return {"hits": self._cache_hits, "misses": self._cache_misses,
+        return {"hits": self._cache_hits.get(), "misses": self._cache_misses.get(),
                 "entries": len(self._cache)}
 
     # -- addresses ----------------------------------------------------------------------
@@ -568,9 +566,9 @@ class SemTreeServer:
         cached = self._cache.get(key)
         if cached is not None:
             self._cache.move_to_end(key)
-            self._cache_hits += 1
+            self._cache_hits.inc()
             return cached
-        self._cache_misses += 1
+        self._cache_misses.inc()
         conn.cache_slot = (key, epoch)
         return None
 
@@ -597,7 +595,7 @@ class SemTreeServer:
             return  # an insert raced this query; the answer may be stale
         self._cache[key] = response.body
         self._cache.move_to_end(key)
-        while len(self._cache) > self._cache_capacity:
+        while len(self._cache) > WIRE_CACHE_CAPACITY:
             self._cache.popitem(last=False)
 
     # -- write side ---------------------------------------------------------------------

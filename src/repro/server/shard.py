@@ -25,10 +25,8 @@ other tiers, so the same :class:`~repro.server.http.SemTreeServer` binds it.
 from __future__ import annotations
 
 import json
-import threading
 import time
 from binascii import crc32
-from collections import Counter
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Tuple
 
 from repro.core.distributed import scan_subtree_knn, scan_subtree_range
@@ -97,43 +95,27 @@ class ShardApp(ServiceShell):
         self._rows, self.rows_id = _number_rows(boot)
         # Keyed by identity: scans hand back the very objects the leaves hold.
         self._row_of = {id(point): row for row, point in enumerate(self._rows)}
-        self._nodes_visited = 0
-        self._points_examined = 0
-        self._scan_seconds = 0.0
-        self._cost_totals: Counter = Counter()
-        self._stats_lock = threading.Lock()
         super().__init__(**shell_options)
 
     def _bind_registry(self) -> None:
-        def locked(attribute: str):
-            def read() -> float:
-                with self._stats_lock:
-                    return float(getattr(self, attribute))
-            return read
-
         self.registry.gauge(
             "repro_shard_points", "Points in this shard's partition subtree.",
         ).labels().set(float(self.boot.points))
-        self.registry.counter(
+        self._nodes_visited = self.registry.counter(
             "repro_shard_nodes_visited_total", "Tree nodes visited by partition scans.",
-        ).set_function(locked("_nodes_visited"))
-        self.registry.counter(
+        ).labels()
+        self._points_examined = self.registry.counter(
             "repro_shard_points_examined_total", "Points examined by partition scans.",
-        ).set_function(locked("_points_examined"))
+        ).labels()
         self._scan_histogram = self.registry.histogram(
             "repro_shard_scan_seconds", "Duration of one partition scan, by kind.",
             ("kind",),
         )
-        self.registry.counter(
+        self._cost_totals = self.registry.counter(
             "repro_query_cost_total",
             "Search cost counters accumulated by partition scans.",
             ("counter",),
-        ).set_callback(self._cost_counter_totals)
-
-    def _cost_counter_totals(self) -> Dict[Tuple[str, ...], float]:
-        with self._stats_lock:
-            return {(name,): float(value)
-                    for name, value in self._cost_totals.items()}
+        )
 
     @classmethod
     def from_index(cls, index: "SemTreeIndex", partition_id: str) -> "ShardApp":
@@ -207,13 +189,11 @@ class ShardApp(ServiceShell):
         elapsed = time.perf_counter() - started
         self._scan_histogram.labels(kind.value).observe(elapsed)
         self._count(endpoint)
-        with self._stats_lock:
-            self._nodes_visited += state.nodes_visited
-            self._points_examined += state.points_examined
-            self._scan_seconds += elapsed
-            for counter_name, value in cost_counters.items():
-                if value:
-                    self._cost_totals[counter_name] += value
+        self._nodes_visited.inc(state.nodes_visited)
+        self._points_examined.inc(state.points_examined)
+        for counter_name, value in cost_counters.items():
+            if value:
+                self._cost_totals.labels(counter_name).inc(value)
         self.slow_query_log.observe(kind=endpoint, latency_seconds=elapsed,
                                     visited_partitions=(self.partition_id,),
                                     cost=cost_counters)
@@ -269,19 +249,19 @@ class ShardApp(ServiceShell):
     def metrics(self) -> Dict[str, Any]:
         """``GET /v1/metrics`` — the shard metrics payload (one ``shard`` section)."""
         requests = self.request_counts()
-        with self._stats_lock:
-            shard = {
-                "partition_id": self.partition_id,
-                "points": self.boot.points,
-                "scans": requests.get("shard_knn", 0) + requests.get("shard_range", 0),
-                "nodes_visited": self._nodes_visited,
-                "points_examined": self._points_examined,
-                "scan_seconds": self._scan_seconds,
-                "cost": dict(self._cost_totals),
-                "requests": requests,
-                "uptime_seconds": self.uptime_seconds,
-            }
-        return {"shard": shard}
+        return {"shard": {
+            "partition_id": self.partition_id,
+            "points": self.boot.points,
+            "scans": requests.get("shard_knn", 0) + requests.get("shard_range", 0),
+            "nodes_visited": self._nodes_visited.get(),
+            "points_examined": self._points_examined.get(),
+            # The scan-duration histogram's ``_sum``, over both kinds.
+            "scan_seconds": sum(
+                (total for _, total, _ in self._scan_histogram.values().values()), 0.0),
+            "cost": self._cost_totals.by_label(),
+            "requests": requests,
+            "uptime_seconds": self.uptime_seconds,
+        }}
 
     def __repr__(self) -> str:
         return (

@@ -6,9 +6,9 @@ handlers is the same for all three and lives here:
 
 * :class:`ServiceShell` — the per-endpoint request counter, uptime, the
   close-once lifecycle (``closed`` / ``_check_open`` / ``close`` / context
-  manager), the metrics registry with its runtime bindings, the slow-query
-  log, the optional continuous profiler, the metrics history, and the
-  routes every tier answers: ``/v1/healthz``, ``/v1/metrics`` (JSON and
+  manager), the metrics registry, the slow-query log, the optional
+  continuous profiler, the metrics history, and the routes every tier
+  answers: ``/v1/healthz``, ``/v1/metrics`` (JSON and
   ``?format=prometheus``), ``/v1/debug/profile``, ``/v1/history``.
 * :class:`EngineShell` — additionally, what the two engine-backed tiers
   share: a :class:`~repro.service.engine.QueryEngine` behind an
@@ -18,18 +18,23 @@ handlers is the same for all three and lives here:
 
 A tier subclasses one of them, sets :attr:`ServiceShell.role`, adds its
 routes to :meth:`~ServiceShell.post_routes` / :meth:`~ServiceShell.get_routes`,
-registers its own series in :meth:`~ServiceShell._bind_registry` and
+publishes its series in :meth:`~ServiceShell._bind_registry` and
 releases what it owns in :meth:`~ServiceShell._teardown`.  Handlers take
 and return plain JSON-native values, so tests and benchmarks can drive a
 tier without a socket; :class:`~repro.server.http.SemTreeServer` binds any
 of them to one.
+
+The shell's registry is the tier's whole exposition: it adopts the
+registries the served objects count on (see :mod:`repro.obs.registry`) and
+adds the shell's own series, so ``/v1/metrics`` as JSON — each object's
+section read back from its instruments — and ``?format=prometheus`` show
+one set of numbers.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import Counter
 from typing import Any, Callable, Dict, List, Optional
 
 from repro import __version__
@@ -64,16 +69,12 @@ class ServiceShell:
 
     Parameters
     ----------
-    registry:
-        The metrics registry to publish into (a fresh one by default).
     slow_query_ms:
         Slow-query log threshold; ``None`` falls back to
         ``$REPRO_SLOW_QUERY_MS`` (unset = disabled).
     profiler:
         A continuously running profiler (``--profile``); optional — the
         on-demand ``/v1/debug/profile`` endpoint works without one.
-    history_interval:
-        Seconds between metrics-history samples.
     """
 
     #: ``"server"`` / ``"shard"`` / ``"coordinator"``: the
@@ -84,30 +85,24 @@ class ServiceShell:
     #: sheds at enqueue time when one is configured.
     admission: Optional[AdmissionController] = None
 
-    def __init__(self, *, registry: MetricsRegistry | None = None,
-                 slow_query_ms: float | None = None,
-                 profiler: SamplingProfiler | None = None,
-                 history_interval: float = 5.0):
+    def __init__(self, *, slow_query_ms: float | None = None,
+                 profiler: SamplingProfiler | None = None):
         self._started = time.monotonic()
-        self._requests: Counter = Counter()
-        self._requests_lock = threading.Lock()
         self._close_lock = threading.Lock()
         self._closed = False
         self.slow_query_log = SlowQueryLog(slow_query_ms)
-        self.registry = registry or MetricsRegistry()
+        self.registry = MetricsRegistry()
         obs_export.bind_runtime(self.registry, role=self.role, version=__version__)
-        obs_export.bind_http_requests(self.registry, self.request_counts)
+        self._requests = self.registry.counter(
+            "repro_http_requests_total", "HTTP requests received, by endpoint.",
+            ("endpoint",))
         self._bind_registry()
         self.profiler = profiler
-        self.history = MetricsHistory(
-            self.registry, interval=history_interval).start()
+        self.history = MetricsHistory(self.registry).start()
 
     def _bind_registry(self) -> None:
-        """Expose the tier's subsystems through the Prometheus registry.
-
-        The JSON payload and the exposition read the same locked counters
-        (callback-backed instruments), so the two formats cannot disagree.
-        """
+        """Publish the tier's series through :attr:`registry`: ``adopt`` the
+        registries of the objects it serves, add gauges over live state."""
 
     # -- routing (consumed by repro.server.protocol.Dispatcher) -------------------------
 
@@ -140,13 +135,11 @@ class ServiceShell:
     # -- bookkeeping --------------------------------------------------------------------
 
     def _count(self, endpoint: str) -> None:
-        with self._requests_lock:
-            self._requests[endpoint] += 1
+        self._requests.labels(endpoint).inc()
 
     def request_counts(self) -> Dict[str, int]:
         """Requests received so far, by endpoint (a stable read surface)."""
-        with self._requests_lock:
-            return dict(self._requests)
+        return self._requests.by_label()
 
     @property
     def uptime_seconds(self) -> float:
@@ -185,8 +178,8 @@ class ServiceShell:
     def metrics_prometheus(self) -> str:
         """``GET /v1/metrics?format=prometheus`` — text exposition v0.0.4.
 
-        Rendered from the same registry whose callbacks read the counters
-        behind :meth:`metrics`, so the two formats cannot disagree.
+        Rendered from the instruments :meth:`metrics` reads, so the two
+        formats cannot disagree.
         """
         self._count("metrics")
         return self.registry.render()
@@ -293,8 +286,8 @@ class EngineShell(ServiceShell):
         super().__init__(**shell_options)
 
     def _bind_registry(self) -> None:
-        self.engine.metrics.bind_registry(self.registry)
-        self.admission.bind_registry(self.registry)
+        self.registry.adopt(self.engine.metrics.registry)
+        self.registry.adopt(self.admission.registry)
         obs_export.bind_cache(self.registry, self.engine.cache)
         self.registry.gauge(
             "repro_engine_workers", "Query-engine worker threads.",

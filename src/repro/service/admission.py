@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from typing import Callable, Dict, Optional
 
 from repro.errors import AdmissionError, QueryError
+from repro.obs.registry import MetricsRegistry
 
 __all__ = ["TokenBucket", "AdmissionController"]
 
@@ -131,8 +132,13 @@ class AdmissionController:
         self._clock = clock
         self._lock = threading.Lock()
         self._buckets: "OrderedDict[str, TokenBucket]" = OrderedDict()
-        self._admitted = 0
-        self._shed: Counter = Counter()
+        self.registry = MetricsRegistry()
+        self._admitted = self.registry.counter(
+            "repro_requests_admitted_total",
+            "Queries accepted past admission control.").labels()
+        self._shed = self.registry.counter(
+            "repro_requests_shed_total",
+            "Queries rejected by admission control, by reason.", ("reason",))
 
     @property
     def enabled(self) -> bool:
@@ -184,8 +190,7 @@ class AdmissionController:
                     reason="deadline",
                     retry_after=max(MIN_RETRY_AFTER, predicted),
                 )
-        with self._lock:
-            self._admitted += queries
+        self._admitted.inc(queries)
 
     def shed_transport_overflow(self, *, pending: int) -> AdmissionError:
         """Count and build the rejection for a request shed at *enqueue* time.
@@ -221,42 +226,20 @@ class AdmissionController:
             return bucket
 
     def _count_shed(self, reason: str, queries: int) -> None:
-        with self._lock:
-            self._shed[reason] += queries
+        self._shed.labels(reason).inc(queries)
 
     # -- exposition ---------------------------------------------------------------------
 
-    def bind_registry(self, registry) -> None:
-        """Mirror the shed/admitted counters into a Prometheus registry."""
-        def admitted() -> float:
-            with self._lock:
-                return float(self._admitted)
-
-        registry.counter(
-            "repro_requests_admitted_total",
-            "Queries accepted past admission control.",
-        ).set_function(admitted)
-        registry.counter(
-            "repro_requests_shed_total",
-            "Queries rejected by admission control, by reason.", ("reason",),
-        ).set_callback(self._shed_totals)
-
-    def _shed_totals(self) -> Dict[tuple, float]:
-        with self._lock:
-            return {(reason,): float(count)
-                    for reason, count in self._shed.items()}
-
     def snapshot(self) -> Dict[str, object]:
         """Flat counters for the ``/v1/metrics`` payload."""
+        shed = self._shed.by_label()
         with self._lock:
-            shed = dict(self._shed)
-            admitted = self._admitted
             clients = len(self._buckets)
         return {
             "enabled": self.enabled,
             "max_queue_depth": self.max_queue_depth,
             "client_rate": self.client_rate,
-            "admitted": admitted,
+            "admitted": self._admitted.get(),
             "shed": shed,
             "shed_total": sum(shed.values()),
             "tracked_clients": clients,

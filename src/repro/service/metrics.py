@@ -1,11 +1,17 @@
 """Serving metrics: QPS, latency percentiles, cache hit rate, partition load.
 
-The module follows the style of :mod:`repro.evaluation.timing`: plain
-counters plus immutable snapshots, no external dependencies.  The engine
-records one observation per query result; :meth:`ServiceMetrics.snapshot`
-turns the accumulated state into the flat dictionary the benchmarks print.
+The engine records one observation per query result.  Every count lives in
+one place: an instrument of the :class:`~repro.obs.registry.MetricsRegistry`
+each accumulator owns (``.registry`` — a serving shell adopts it, which is
+the whole Prometheus exposition of these numbers), and
+:meth:`ServiceMetrics.snapshot` reads those same instruments back into the
+flat dictionary the ``/v1/metrics`` payload and the benchmarks print.
+Counters are individually exact and monotone; a snapshot taken while
+queries are in flight may show ``queries`` ahead of ``executed +
+served_from_cache`` by the in-flight count.
 
-Latency samples are kept in a bounded deque (most recent ``max_samples``)
+Latency samples are additionally kept in a bounded deque (most recent
+``max_samples``) — a fixed-bucket histogram cannot reproduce a percentile —
 so a long-running service's metrics stay O(1) in memory; percentiles are
 therefore over the recent window, which is what a serving dashboard wants
 anyway.
@@ -16,13 +22,11 @@ from __future__ import annotations
 import math
 import threading
 import time
-from collections import Counter, deque
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional, Tuple
+from collections import deque
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.errors import EvaluationError
-
-if TYPE_CHECKING:
-    from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 
 __all__ = ["COST_HISTOGRAM_BUCKETS", "IngestMetrics", "ServiceMetrics", "percentile"]
 
@@ -33,6 +37,9 @@ COST_HISTOGRAM_BUCKETS: Tuple[float, ...] = (
     1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0, 65536.0, 262144.0,
     1048576.0,
 )
+
+#: Compaction durations retained for the ``compaction_ms`` block.
+COMPACTION_SAMPLE_LIMIT = 1_000
 
 
 def percentile(samples: Iterable[float], fraction: float) -> float:
@@ -89,19 +96,41 @@ class ServiceMetrics:
         self._started_at: Optional[float] = None
         self._latencies: deque = deque(maxlen=max_samples)
         self._queue_waits: deque = deque(maxlen=max_samples)
-        self._queries = 0
-        self._executed = 0
-        self._served_from_cache = 0
-        self._timeouts = 0
-        self._errors = 0
-        self._by_kind: Counter = Counter()
-        self._partition_loads: Counter = Counter()
-        self._cost_totals: Counter = Counter()
-        self._overlay_retries = 0
-        self._degraded = 0
-        self._latency_family = None
-        self._queue_wait_histogram = None
-        self._distance_family = None
+        self.registry = registry = MetricsRegistry()
+        self._by_kind = registry.counter(
+            "repro_queries_total", "Queries served, by query kind.", ("kind",))
+        self._executed = registry.counter(
+            "repro_queries_executed_total",
+            "Queries that ran a tree search (cache misses).").labels()
+        self._served_from_cache = registry.counter(
+            "repro_queries_cached_total", "Queries served from the result cache.").labels()
+        self._timeouts = registry.counter(
+            "repro_query_timeouts_total", "Queries that missed their deadline.").labels()
+        self._errors = registry.counter(
+            "repro_query_errors_total", "Queries that failed with an error.").labels()
+        self._partition_loads = registry.counter(
+            "repro_partition_visits_total", "Tree-search visits, by partition.",
+            ("partition",))
+        self._cost_totals = registry.counter(
+            "repro_query_cost_total",
+            "Per-query work counters summed over executed searches, "
+            "by cost counter.", ("counter",))
+        self._overlay_retries = registry.counter(
+            "repro_overlay_retries_total",
+            "Overlay rechecks forced by a compaction racing a read.").labels()
+        self._degraded = registry.counter(
+            "repro_queries_degraded_total",
+            "Queries answered partially (allow_partial) after shard failures.").labels()
+        self._latency_histogram = registry.histogram(
+            "repro_query_latency_seconds",
+            "Latency of executed (non-cached) queries, by kind.", ("kind",))
+        self._queue_wait_histogram = registry.histogram(
+            "repro_queue_wait_seconds",
+            "Time an executed query waited for a pool worker.").labels()
+        self._distance_histogram = registry.histogram(
+            "repro_query_distance_computations",
+            "Exact distance computations per executed query, by kind.",
+            ("kind",), buckets=COST_HISTOGRAM_BUCKETS)
 
     # -- recording ----------------------------------------------------------------------
 
@@ -126,42 +155,35 @@ class ServiceMetrics:
         counters.
         """
         now = self._clock()
+        executed_ok = not cached and not timed_out and not failed
         with self._lock:
             if self._started_at is None:
                 self._started_at = now
-            self._queries += 1
-            self._by_kind[kind] += 1
-            if cached:
-                self._served_from_cache += 1
-            else:
-                self._executed += 1
-            if timed_out:
-                self._timeouts += 1
-            if failed:
-                self._errors += 1
-            if degraded:
-                self._degraded += 1
-            executed_ok = not cached and not timed_out and not failed
             if executed_ok:
                 self._latencies.append(latency_seconds)
-            for partition_id in visited_partitions:
-                self._partition_loads[partition_id] += 1
-            if cost is not None:
-                for counter_name, value in cost.to_dict().items():
-                    if value:
-                        self._cost_totals[counter_name] += value
-            latency_family = self._latency_family
-            distance_family = self._distance_family
-        if executed_ok and latency_family is not None:
-            latency_family.labels(kind).observe(latency_seconds)
-        if cost is not None and distance_family is not None:
-            distance_family.labels(kind).observe(float(cost.distance_computations))
+        self._by_kind.labels(kind).inc()
+        (self._served_from_cache if cached else self._executed).inc()
+        if timed_out:
+            self._timeouts.inc()
+        if failed:
+            self._errors.inc()
+        if degraded:
+            self._degraded.inc()
+        if executed_ok:
+            self._latency_histogram.labels(kind).observe(latency_seconds)
+        for partition_id in visited_partitions:
+            self._partition_loads.labels(partition_id).inc()
+        if cost is not None:
+            for counter_name, value in cost.to_dict().items():
+                if value:
+                    self._cost_totals.labels(counter_name).inc(value)
+            self._distance_histogram.labels(kind).observe(
+                float(cost.distance_computations))
 
     def record_overlay_retry(self) -> None:
         """Record one overlay recheck: a compaction raced the read and the
         cached/stale tree-side matches had to be recomputed."""
-        with self._lock:
-            self._overlay_retries += 1
+        self._overlay_retries.inc()
 
     def record_queue_wait(self, seconds: float) -> None:
         """Record how long one query waited for a pool worker to pick it up.
@@ -172,102 +194,18 @@ class ServiceMetrics:
         """
         with self._lock:
             self._queue_waits.append(seconds)
-            histogram = self._queue_wait_histogram
-        if histogram is not None:
-            histogram.observe(seconds)
-
-    # -- exposition ---------------------------------------------------------------------
-
-    def bind_registry(self, registry: "MetricsRegistry") -> None:
-        """Mirror these counters into a Prometheus-style registry.
-
-        Counters and per-kind/per-partition totals are callback-backed —
-        every scrape re-reads the same locked state :meth:`snapshot`
-        reports, so the JSON payload and the exposition cannot disagree.
-        Latency and queue-wait distributions are additionally observed into
-        fixed-bucket histograms (percentile-over-window has no faithful
-        Prometheus equivalent).
-        """
-        def locked(attribute: str) -> Callable[[], float]:
-            def read() -> float:
-                with self._lock:
-                    return float(getattr(self, attribute))
-            return read
-
-        registry.counter(
-            "repro_queries_total", "Queries served, by query kind.", ("kind",),
-        ).set_callback(self._kind_totals)
-        registry.counter(
-            "repro_queries_executed_total",
-            "Queries that ran a tree search (cache misses).",
-        ).set_function(locked("_executed"))
-        registry.counter(
-            "repro_queries_cached_total", "Queries served from the result cache.",
-        ).set_function(locked("_served_from_cache"))
-        registry.counter(
-            "repro_query_timeouts_total", "Queries that missed their deadline.",
-        ).set_function(locked("_timeouts"))
-        registry.counter(
-            "repro_query_errors_total", "Queries that failed with an error.",
-        ).set_function(locked("_errors"))
-        registry.counter(
-            "repro_partition_visits_total",
-            "Tree-search visits, by partition.", ("partition",),
-        ).set_callback(self._partition_totals)
-        registry.counter(
-            "repro_query_cost_total",
-            "Per-query work counters summed over executed searches, "
-            "by cost counter.", ("counter",),
-        ).set_callback(self._cost_counter_totals)
-        registry.counter(
-            "repro_overlay_retries_total",
-            "Overlay rechecks forced by a compaction racing a read.",
-        ).set_function(locked("_overlay_retries"))
-        registry.counter(
-            "repro_queries_degraded_total",
-            "Queries answered partially (allow_partial) after shard failures.",
-        ).set_function(locked("_degraded"))
-        with self._lock:
-            self._latency_family = registry.histogram(
-                "repro_query_latency_seconds",
-                "Latency of executed (non-cached) queries, by kind.", ("kind",),
-            )
-            self._queue_wait_histogram = registry.histogram(
-                "repro_queue_wait_seconds",
-                "Time an executed query waited for a pool worker.",
-            ).labels()
-            self._distance_family = registry.histogram(
-                "repro_query_distance_computations",
-                "Exact distance computations per executed query, by kind.",
-                ("kind",), buckets=COST_HISTOGRAM_BUCKETS,
-            )
-
-    def _kind_totals(self) -> Dict[Tuple[str, ...], float]:
-        with self._lock:
-            return {(kind,): float(count) for kind, count in self._by_kind.items()}
-
-    def _partition_totals(self) -> Dict[Tuple[str, ...], float]:
-        with self._lock:
-            return {(partition_id,): float(count)
-                    for partition_id, count in self._partition_loads.items()}
-
-    def _cost_counter_totals(self) -> Dict[Tuple[str, ...], float]:
-        with self._lock:
-            return {(counter_name,): float(total)
-                    for counter_name, total in self._cost_totals.items()}
+        self._queue_wait_histogram.observe(seconds)
 
     # -- readings -----------------------------------------------------------------------
 
     @property
     def queries(self) -> int:
         """Total queries recorded."""
-        with self._lock:
-            return self._queries
+        return sum(self._by_kind.values().values())
 
     def partition_loads(self) -> Dict[str, int]:
         """Queries served per partition (how often each partition was searched)."""
-        with self._lock:
-            return dict(self._partition_loads)
+        return self._partition_loads.by_label()
 
     def snapshot(self) -> Dict[str, object]:
         """A flat dictionary of every serving metric (for reports and tests)."""
@@ -275,32 +213,32 @@ class ServiceMetrics:
             elapsed = (self._clock() - self._started_at) if self._started_at is not None else 0.0
             latencies = list(self._latencies)
             queue_waits = list(self._queue_waits)
-            queries = self._queries
-            snapshot: Dict[str, object] = {
-                "queries": queries,
-                "executed": self._executed,
-                "served_from_cache": self._served_from_cache,
-                "timeouts": self._timeouts,
-                "errors": self._errors,
-                "degraded": self._degraded,
-                "overlay_retries": self._overlay_retries,
-                "wall_seconds": elapsed,
-                "qps": queries / elapsed if elapsed > 0 else 0.0,
-                "queries_by_kind": dict(self._by_kind),
-                "partition_loads": dict(self._partition_loads),
-                "cost": dict(self._cost_totals),
-            }
+        by_kind = self._by_kind.by_label()
+        queries = sum(by_kind.values())
+        snapshot: Dict[str, object] = {
+            "queries": queries,
+            "executed": self._executed.get(),
+            "served_from_cache": self._served_from_cache.get(),
+            "timeouts": self._timeouts.get(),
+            "errors": self._errors.get(),
+            "degraded": self._degraded.get(),
+            "overlay_retries": self._overlay_retries.get(),
+            "wall_seconds": elapsed,
+            "qps": queries / elapsed if elapsed > 0 else 0.0,
+            "queries_by_kind": by_kind,
+            "partition_loads": self.partition_loads(),
+            "cost": self._cost_totals.by_label(),
+        }
         if latencies:
             snapshot["latency_ms"] = _latency_block(latencies)
         snapshot["queue_wait_ms"] = _latency_block(queue_waits)
         return snapshot
 
     def __repr__(self) -> str:
-        with self._lock:
-            return (
-                f"ServiceMetrics(queries={self._queries}, executed={self._executed}, "
-                f"served_from_cache={self._served_from_cache})"
-            )
+        return (
+            f"ServiceMetrics(queries={self.queries}, executed={self._executed.get()}, "
+            f"served_from_cache={self._served_from_cache.get()})"
+        )
 
 
 class IngestMetrics:
@@ -314,19 +252,23 @@ class IngestMetrics:
     this snapshot.
     """
 
-    def __init__(self, *, max_samples: int = 1_000,
-                 clock: Callable[[], float] = time.monotonic):
-        if max_samples < 1:
-            raise EvaluationError("max_samples must be >= 1")
+    def __init__(self, *, clock: Callable[[], float] = time.monotonic):
         self._clock = clock
         self._lock = threading.Lock()
         self._started_at: Optional[float] = None
-        self._inserts = 0
-        self._replayed = 0
-        self._compactions = 0
-        self._points_compacted = 0
-        self._compaction_seconds: deque = deque(maxlen=max_samples)
-        self._compaction_histogram = None
+        self._compaction_seconds: deque = deque(maxlen=COMPACTION_SAMPLE_LIMIT)
+        self.registry = registry = MetricsRegistry()
+        self._inserts = registry.counter(
+            "repro_inserts_total", "Accepted triple inserts.").labels()
+        self._replayed = registry.counter(
+            "repro_wal_replayed_total", "WAL records replayed at recovery.").labels()
+        self._compactions = registry.counter(
+            "repro_compactions_total", "Delta-into-tree compactions.").labels()
+        self._points_compacted = registry.counter(
+            "repro_points_compacted_total",
+            "Points folded into the tree by compactions.").labels()
+        self._compaction_histogram = registry.histogram(
+            "repro_compaction_seconds", "Duration of one compaction.").labels()
 
     def record_insert(self, count: int = 1) -> None:
         """Record ``count`` accepted inserts."""
@@ -334,78 +276,44 @@ class IngestMetrics:
         with self._lock:
             if self._started_at is None:
                 self._started_at = now
-            self._inserts += count
+        self._inserts.inc(count)
 
     def record_replay(self, count: int) -> None:
         """Record ``count`` WAL records replayed at recovery."""
-        with self._lock:
-            self._replayed += count
+        self._replayed.inc(count)
 
     def record_compaction(self, points: int, seconds: float) -> None:
         """Record one delta-into-tree fold of ``points`` points."""
         with self._lock:
-            self._compactions += 1
-            self._points_compacted += points
             self._compaction_seconds.append(seconds)
-            histogram = self._compaction_histogram
-        if histogram is not None:
-            histogram.observe(seconds)
-
-    def bind_registry(self, registry: "MetricsRegistry") -> None:
-        """Mirror the write-path counters into a Prometheus-style registry.
-
-        Same contract as :meth:`ServiceMetrics.bind_registry`: counters are
-        scrape-time reads of the locked state behind :meth:`snapshot`;
-        compaction latency additionally feeds a histogram.
-        """
-        def locked(attribute: str) -> Callable[[], float]:
-            def read() -> float:
-                with self._lock:
-                    return float(getattr(self, attribute))
-            return read
-
-        registry.counter(
-            "repro_inserts_total", "Accepted triple inserts.",
-        ).set_function(locked("_inserts"))
-        registry.counter(
-            "repro_wal_replayed_total", "WAL records replayed at recovery.",
-        ).set_function(locked("_replayed"))
-        registry.counter(
-            "repro_compactions_total", "Delta-into-tree compactions.",
-        ).set_function(locked("_compactions"))
-        registry.counter(
-            "repro_points_compacted_total", "Points folded into the tree by compactions.",
-        ).set_function(locked("_points_compacted"))
-        with self._lock:
-            self._compaction_histogram = registry.histogram(
-                "repro_compaction_seconds", "Duration of one compaction.",
-            ).labels()
+        self._compactions.inc()
+        self._points_compacted.inc(points)
+        self._compaction_histogram.observe(seconds)
 
     @property
     def inserts(self) -> int:
         """Total inserts recorded."""
-        with self._lock:
-            return self._inserts
+        return self._inserts.get()
 
     @property
     def compactions(self) -> int:
         """Total compactions recorded."""
-        with self._lock:
-            return self._compactions
+        return self._compactions.get()
 
     def snapshot(self) -> Dict[str, object]:
         """A flat dictionary of every ingest metric (for reports and tests)."""
         with self._lock:
             elapsed = (self._clock() - self._started_at) if self._started_at is not None else 0.0
             samples = list(self._compaction_seconds)
-            snapshot: Dict[str, object] = {
-                "inserts": self._inserts,
-                "replayed": self._replayed,
-                "ingest_wall_seconds": elapsed,
-                "ingest_qps": self._inserts / elapsed if elapsed > 0 else 0.0,
-                "compactions": self._compactions,
-                "points_compacted": self._points_compacted,
-            }
+        inserts = self.inserts
+        snapshot: Dict[str, object] = {
+            "inserts": inserts,
+            "replayed": self._replayed.get(),
+            "ingest_wall_seconds": elapsed,
+            "ingest_qps": inserts / elapsed if elapsed > 0 else 0.0,
+            "compactions": self.compactions,
+            "points_compacted": self._points_compacted.get(),
+        }
         if samples:
             snapshot["compaction_ms"] = {
                 "mean": sum(samples) / len(samples) * 1000.0,
@@ -415,8 +323,7 @@ class IngestMetrics:
         return snapshot
 
     def __repr__(self) -> str:
-        with self._lock:
-            return (
-                f"IngestMetrics(inserts={self._inserts}, "
-                f"compactions={self._compactions}, replayed={self._replayed})"
-            )
+        return (
+            f"IngestMetrics(inserts={self.inserts}, "
+            f"compactions={self.compactions}, replayed={self._replayed.get()})"
+        )

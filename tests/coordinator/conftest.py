@@ -15,8 +15,10 @@ from __future__ import annotations
 import pytest
 
 from coordinator_corpus import build_corpus_index
-from repro.coordinator import HttpShardTransport, ShardTopology
-from repro.server import ShardApp, SemTreeServer
+from repro.coordinator import (CoordinatorApp, HttpShardTransport, ShardedIndex,
+                               ShardTopology)
+from repro.ingest import IngestingIndex
+from repro.server import SemTreeServer, ServerApp, ShardApp
 
 
 @pytest.fixture(scope="module")
@@ -65,3 +67,26 @@ def make_transport():
     yield build
     for transport in transports:
         transport.close()
+
+
+@pytest.fixture
+def make_tier(corpus_index, shard_fleet, make_transport, tmp_path):
+    """``build(role) -> app`` for each tier, over the shared corpus index."""
+    index, _, data_partitions = corpus_index
+    _, topology = shard_fleet
+    apps = []
+
+    def build(role: str):
+        if role == "server":
+            app = ServerApp(IngestingIndex(index, tmp_path / "wal.jsonl"),
+                            background_compaction=False)
+        elif role == "shard":
+            app = ShardApp.from_index(index, data_partitions[0])
+        else:
+            app = CoordinatorApp(ShardedIndex(index, make_transport(topology)))
+        apps.append(app)
+        return app
+
+    yield build
+    for app in apps:
+        app.close()

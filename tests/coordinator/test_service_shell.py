@@ -13,37 +13,12 @@ import threading
 
 import pytest
 
-from repro.coordinator import CoordinatorApp, ShardedIndex
 from repro.errors import ServerClosingError, ServerError
-from repro.ingest import IngestingIndex
 from repro.obs.prometheus import parse_exposition
-from repro.server import SemTreeServer, ServerApp, ShardApp
+from repro.server import SemTreeServer
 from repro.workloads import ServerClient
 
 TIERS = ["server", "shard", "coordinator"]
-
-
-@pytest.fixture
-def make_tier(corpus_index, shard_fleet, make_transport, tmp_path):
-    """``build(role) -> app`` for each tier, over the shared corpus index."""
-    index, _, data_partitions = corpus_index
-    _, topology = shard_fleet
-    apps = []
-
-    def build(role: str):
-        if role == "server":
-            app = ServerApp(IngestingIndex(index, tmp_path / "wal.jsonl"),
-                            background_compaction=False)
-        elif role == "shard":
-            app = ShardApp.from_index(index, data_partitions[0])
-        else:
-            app = CoordinatorApp(ShardedIndex(index, make_transport(topology)))
-        apps.append(app)
-        return app
-
-    yield build
-    for app in apps:
-        app.close()
 
 
 def _endpoint_counts(client: ServerClient) -> dict:

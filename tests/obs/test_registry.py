@@ -22,6 +22,18 @@ class TestCounter:
         with pytest.raises(ObservabilityError):
             counter.inc(-1)
 
+    def test_integer_increments_stay_integers(self):
+        # What keeps counts JSON integers on /v1/metrics: the instrument
+        # stores what it was given, the exposition side converts.
+        registry = MetricsRegistry()
+        counter = registry.counter("c_total", "help")
+        counter.inc()
+        counter.inc(3)
+        assert type(counter.labels().get()) is int
+        (sample,) = counter.collect()
+        assert type(sample.value) is float and sample.value == 4.0
+        assert "c_total 4\n" in registry.render()
+
     def test_function_backed(self):
         source = {"value": 7}
         counter = MetricsRegistry().counter("c_total", "help")
@@ -104,6 +116,19 @@ class TestFamilies:
         values = {dict(s.labels)["partition"]: s.value for s in family.collect()}
         assert values == {"P0": 1.0, "P1": 2.0, "P2": 3.0}
 
+    def test_values_read_every_series_back(self):
+        registry = MetricsRegistry()
+        family = registry.counter("c_total", "help", ("kind",))
+        family.labels("knn").inc(2)
+        family.labels("range").inc()
+        assert family.values() == {("knn",): 2, ("range",): 1}
+        assert family.by_label() == {"knn": 2, "range": 1}
+        histogram = registry.histogram("h_seconds", "help", buckets=(1.0,))
+        histogram.observe(0.5)
+        assert histogram.values() == {(): ([1], 0.5, 1)}
+        family.set_callback(lambda: {("P0",): 7})
+        assert family.by_label() == {"P0": 7}
+
     def test_histogram_families_cannot_be_callback_backed(self):
         family = MetricsRegistry().histogram("h_seconds", "help")
         with pytest.raises(ObservabilityError):
@@ -137,6 +162,22 @@ class TestRegistry:
             registry.counter("ok_total", "help", ("__reserved",))
         with pytest.raises(ObservabilityError):
             registry.histogram("h_seconds", "help", ("le",))
+
+    def test_adopt_publishes_the_live_families_of_another_registry(self):
+        owned = MetricsRegistry()
+        counter = owned.counter("owned_total", "help")
+        shell = MetricsRegistry()
+        shell.counter("shell_total", "help")
+        shell.adopt(owned)
+        counter.inc(5)                      # after adoption: shared, not copied
+        assert [family.name for family in shell.collect()] == \
+            ["owned_total", "shell_total"]
+        assert "owned_total 5\n" in shell.render()
+        shell.adopt(owned)                  # the same families again: a no-op
+        clash = MetricsRegistry()
+        clash.counter("owned_total", "help")
+        with pytest.raises(ObservabilityError):
+            shell.adopt(clash)
 
     def test_collect_orders_by_name(self):
         registry = MetricsRegistry()

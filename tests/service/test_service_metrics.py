@@ -1,8 +1,13 @@
 """Tests for the serving metrics accumulator."""
 
+import sys
+import threading
+
 import pytest
 
+from repro.core.cost import SearchCost
 from repro.errors import EvaluationError
+from repro.obs.prometheus import parse_exposition
 from repro.service import ServiceMetrics, percentile
 
 
@@ -112,3 +117,61 @@ class TestServiceMetrics:
         snapshot = ServiceMetrics().snapshot()
         assert snapshot["queries"] == 0
         assert "latency_ms" not in snapshot
+
+    def test_concurrent_records_are_not_lost(self):
+        """8 threads x 2 000 records: every total exact, on both faces."""
+        metrics = ServiceMetrics()
+        threads_, rounds = 8, 2_000
+        cost = SearchCost.from_dict({"distance_computations": 3, "buckets_scanned": 1})
+
+        def hammer(worker: int):
+            kind = "knn" if worker % 2 else "range"
+            for i in range(rounds):
+                metrics.record_queue_wait(0.001)
+                metrics.record(kind, 0.002, cached=i % 4 == 0,
+                               visited_partitions=("P0", f"P{worker}"),
+                               cost=None if i % 4 == 0 else cost)
+
+        threads = [threading.Thread(target=hammer, args=(worker,))
+                   for worker in range(threads_)]
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)         # a lost update needs a badly timed switch
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert not any(thread.is_alive() for thread in threads)
+
+        total = threads_ * rounds
+        executed = total * 3 // 4
+        snapshot = metrics.snapshot()
+        assert snapshot["queries"] == total
+        assert snapshot["queries_by_kind"] == {"knn": total // 2, "range": total // 2}
+        assert snapshot["executed"] == executed
+        assert snapshot["served_from_cache"] == total - executed
+        assert snapshot["partition_loads"]["P0"] == total + rounds
+        assert snapshot["partition_loads"]["P3"] == rounds
+        assert snapshot["cost"] == {"distance_computations": 3 * executed,
+                                    "buckets_scanned": executed}
+
+        families = parse_exposition(metrics.registry.render())
+
+        def series(name, family=None, **labels):
+            return sum(sample.value for sample in families[family or name].samples
+                       if sample.name == name and sample.labels == labels)
+
+        assert series("repro_queries_total", kind="knn") == total // 2
+        assert series("repro_queries_total", kind="range") == total // 2
+        assert series("repro_queries_executed_total") == executed
+        assert series("repro_queries_cached_total") == total - executed
+        assert series("repro_partition_visits_total", partition="P0") == total + rounds
+        assert series("repro_query_cost_total", counter="distance_computations") == \
+            3 * executed
+        assert series("repro_queue_wait_seconds_count",
+                      family="repro_queue_wait_seconds") == total
+        for kind in ("knn", "range"):
+            assert series("repro_query_latency_seconds_count",
+                          family="repro_query_latency_seconds", kind=kind) == executed // 2

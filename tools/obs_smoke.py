@@ -10,8 +10,9 @@ observability surface end to end:
    (:func:`~repro.obs.prometheus.validate_exposition`);
 2. the core metric families are present — including the per-query cost
    counters (``repro_query_cost_total``);
-3. the exposition agrees with the JSON ``/v1/metrics`` payload on the
-   shared counters (the two are rendered from the same registry);
+3. the exposition agrees with the JSON ``/v1/metrics`` payload on every
+   count that has both faces (:data:`FACES` — the two are read from the
+   same instruments);
 4. a request with ``X-Debug-Trace`` returns a span tree carrying the
    client's ``X-Trace-Id`` and a cost annotation on its ``execute`` span;
 5. ``GET /v1/debug/profile`` returns collapsed stacks with ``repro.*``
@@ -20,8 +21,8 @@ observability surface end to end:
 A second stage launches a *real* shard fleet (``python -m repro.server
 --shard`` subprocesses plus a ``python -m repro.coordinator``) and checks
 the same surface across processes: cluster-wide cost annotations in a
-traced response, cost counters in the shard exposition, and the profile /
-history endpoints on every tier.
+traced response, the same JSON-versus-exposition agreement on the shards
+and the coordinator, and the profile / history endpoints on every tier.
 
 Exit status 0 on success, 1 with one line per failure — what the CI
 observability job keys off.  Run from the repository root::
@@ -65,6 +66,93 @@ CORE_FAMILIES = {
     "repro_index_generation",
     "repro_engine_workers",
 }
+
+#: ``(JSON path, series, label)`` for every count with a JSON and an
+#: exposition face.  A ``*`` level fans out over a data-keyed dictionary; its
+#: key is the series' ``label`` value.
+_ENGINE_FACES = [
+    ("serving.executed", "repro_queries_executed_total", None),
+    ("serving.served_from_cache", "repro_queries_cached_total", None),
+    ("serving.timeouts", "repro_query_timeouts_total", None),
+    ("serving.errors", "repro_query_errors_total", None),
+    ("serving.degraded", "repro_queries_degraded_total", None),
+    ("serving.overlay_retries", "repro_overlay_retries_total", None),
+    ("serving.queries_by_kind.*", "repro_queries_total", "kind"),
+    ("serving.partition_loads.*", "repro_partition_visits_total", "partition"),
+    ("serving.cost.*", "repro_query_cost_total", "counter"),
+    ("cache.hits", "repro_cache_hits_total", None),
+    ("cache.misses", "repro_cache_misses_total", None),
+    ("cache.evictions", "repro_cache_evictions_total", None),
+    ("cache.expirations", "repro_cache_expirations_total", None),
+    ("cache.invalidations", "repro_cache_invalidations_total", None),
+    ("cache.promotions", "repro_cache_promotions_total", None),
+]
+
+
+def _process_faces(section: str):
+    return [
+        (f"{section}.requests.*", "repro_http_requests_total", "endpoint"),
+        (f"{section}.admission.admitted", "repro_requests_admitted_total", None),
+        (f"{section}.admission.shed.*", "repro_requests_shed_total", "reason"),
+    ]
+
+
+FACES = {
+    "server": _ENGINE_FACES + _process_faces("server") + [
+        ("ingest.inserts", "repro_inserts_total", None),
+        ("ingest.replayed", "repro_wal_replayed_total", None),
+        ("ingest.compactions", "repro_compactions_total", None),
+        ("ingest.points_compacted", "repro_points_compacted_total", None),
+    ],
+    "shard": [
+        ("shard.nodes_visited", "repro_shard_nodes_visited_total", None),
+        ("shard.points_examined", "repro_shard_points_examined_total", None),
+        ("shard.cost.*", "repro_query_cost_total", "counter"),
+        ("shard.requests.*", "repro_http_requests_total", "endpoint"),
+    ],
+    "coordinator": _ENGINE_FACES + _process_faces("coordinator") + [
+        ("shards.queries", "repro_scatter_queries_total", None),
+        ("shards.degraded_queries", "repro_degraded_queries_total", None),
+        ("shards.per_shard.*.scans", "repro_shard_scans_total", "partition"),
+        ("shards.per_shard.*.failures", "repro_shard_scan_failures_total", "partition"),
+        ("shards.failover.*.retries", "repro_shard_retries_total", "partition"),
+        ("shards.failover.*.failovers", "repro_shard_failovers_total", "partition"),
+        ("shards.failover.*.hedges", "repro_shard_hedges_total", "partition"),
+        ("shards.failover.*.hedge_wins", "repro_shard_hedge_wins_total", "partition"),
+        ("shards.failover.*.circuit_shed", "repro_shard_circuit_shed_total", "partition"),
+        ("shards.failover.*.circuit_opens", "repro_shard_circuit_opens_total", "partition"),
+    ],
+}
+
+
+def json_values(payload, path: str):
+    """``[(label value or None, value)]`` at ``path`` of a JSON payload."""
+    found = [(None, payload)]
+    for segment in path.split("."):
+        if segment == "*":
+            found = [(key, value) for _, node in found for key, value in node.items()]
+        else:
+            found = [(label, node[segment]) for label, node in found]
+    return found
+
+
+def compare_faces(url: str, tier: str) -> list[str]:
+    """Disagreements between the two ``/v1/metrics`` formats of one process."""
+    families = parse_exposition(
+        fetch(f"{url}/v1/metrics?format=prometheus")[2].decode("utf-8"))
+    payload = json.loads(fetch(f"{url}/v1/metrics")[2])
+    problems = []
+    for path, series, label in FACES[tier]:
+        exposed = {sample.labels.get(label): sample.value
+                   for sample in families[series].samples} if series in families else {}
+        for label_value, value in json_values(payload, path):
+            if (series, label_value) == ("repro_http_requests_total", "metrics"):
+                continue    # the two reads being compared are themselves counted
+            if exposed.get(label_value) != value:
+                problems.append(
+                    f"{tier}: {path} [{label_value}] is {value!r} in JSON, "
+                    f"{series} is {exposed.get(label_value)!r}")
+    return problems
 
 
 def walk_spans(node):
@@ -146,15 +234,7 @@ def run_smoke() -> list[str]:
                 problems.append(f"missing core families: {sorted(missing)}")
 
             # The JSON payload and the exposition must agree.
-            metrics = json.loads(fetch(f"{server.url}/v1/metrics")[2])
-
-            def value_of(name):
-                return families[name].samples[0].value
-            if value_of("repro_queries_executed_total") != \
-                    metrics["serving"]["executed"]:
-                problems.append("executed-query counter disagrees with JSON")
-            if value_of("repro_cache_hits_total") != metrics["cache"]["hits"]:
-                problems.append("cache-hit counter disagrees with JSON")
+            problems.extend(compare_faces(server.url, "server"))
 
             # Tracing: opt-in span tree with the client's trace id, whose
             # execute span carries the query's cost-counter annotation.
@@ -285,15 +365,10 @@ def run_fleet_smoke() -> list[str]:
                 problems.append(
                     "cluster-wide cost does not sum the shard scans")
 
-            # Cost counters in the shard exposition; profile + history on
-            # every tier of the fleet.
+            # Both metrics formats agree, cost counters included; profile +
+            # history answer — on every tier of the fleet.
             for managed in fleet:
-                exposition = parse_exposition(fetch(
-                    f"{managed.url}/v1/metrics?format=prometheus")[2]
-                    .decode("utf-8"))
-                if "repro_query_cost_total" not in exposition:
-                    problems.append(
-                        f"{managed.role}: no cost counters in exposition")
+                problems.extend(compare_faces(managed.url, managed.role.split()[0]))
                 status, _, collapsed = fetch(
                     f"{managed.url}/v1/debug/profile"
                     "?seconds=0.2&format=collapsed")
