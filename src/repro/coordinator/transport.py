@@ -3,9 +3,9 @@
 :class:`HttpShardTransport` implements the
 :class:`~repro.cluster.transport.PartitionTransport` protocol against a
 :class:`~repro.coordinator.topology.ShardTopology` of live shard servers,
-with one :class:`~repro.server.connection.KeepAliveConnection` per
-*replica* (a persistent socket per calling thread, framed by
-``protocol.py``) and that replica's row table.  A scan response names its
+with one :class:`~repro.workloads.ServerClient` per *replica* (a
+persistent socket per calling thread, framed by ``protocol.py``) and that
+replica's row table.  A scan response names its
 matches as ``[row, distance]`` pairs under a ``rows_id``; the transport
 fetches the table those rows index (``GET /v1/shard/rows``) once and keeps
 it while every response's ``rows_id`` matches — a mismatch refetches once,
@@ -57,7 +57,7 @@ from repro.errors import ServerError, ShardError
 from repro.faults import FaultPlan, InjectedFault
 from repro.io.serialization import triple_from_dict
 from repro.obs.registry import MetricFamily, MetricsRegistry
-from repro.server.connection import KeepAliveConnection
+from repro.workloads.http_client import ServerClient
 
 __all__ = ["HttpShardTransport"]
 
@@ -145,8 +145,8 @@ class HttpShardTransport:
             )
             for partition_id in topology.partition_ids
         }
-        self._connections: Dict[Tuple[str, str], KeepAliveConnection] = {
-            (partition_id, replica.url): KeepAliveConnection(replica.url, timeout=timeout)
+        self._connections: Dict[Tuple[str, str], ServerClient] = {
+            (partition_id, replica.url): ServerClient(replica.url, timeout=timeout)
             for partition_id, replica_set in self._replica_sets.items()
             for replica in replica_set.replicas
         }
@@ -345,7 +345,13 @@ class HttpShardTransport:
         key = (partition_id, replica.url)
         connection = self._connections[key]
         try:
-            payload = connection.request("POST", path, body)
+            raw, response = connection.request_bytes("POST", path, body)
+            try:
+                payload = json.loads(raw)
+            except ValueError as error:
+                # Whatever answered is not a shard (wrong port, a proxy).
+                raise ServerError(f"non-JSON response from {replica.url}: {raw[:120]!r}",
+                                  status=response.status) from error
             rows_id = payload.get("rows_id")
             table = self._tables.get(key)
             if table is None or table[0] != rows_id:

@@ -24,8 +24,6 @@ clients that are not the process that built it:
   incremental request parser, one error ladder, one access-log line;
 * :mod:`repro.server.http` — :class:`SemTreeServer`, the transport (one
   ``selectors`` event loop + a worker pool);
-* :mod:`repro.server.connection` — the client side of the same framing:
-  the keep-alive connection a coordinator holds to each shard replica;
 * :mod:`repro.server.bootstrap` — recovering a servable index (and the
   semantic distance) from a checkpoint snapshot + WAL on disk;
 * :mod:`repro.server.cli` — the option group and serve loop the
@@ -33,7 +31,9 @@ clients that are not the process that built it:
 * :mod:`repro.server.__main__` — the ``python -m repro.server`` CLI.
 
 The HTTP client lives with the other workload drivers:
-:class:`repro.workloads.ServerClient`.  See ``docs/server.md`` for the API
+:class:`repro.workloads.ServerClient`, the client side of
+:mod:`repro.server.protocol`'s framing — the tests, tools, benchmark suite
+and the coordinator's shard transport all speak through it.  See ``docs/server.md`` for the API
 reference and ``docs/architecture.md`` for where this layer sits.
 """
 

@@ -1,6 +1,6 @@
 """Synthetic workloads: point distributions and query batches for the
-efficiency experiments (Figures 3–7), plus the HTTP client and load
-generator that drive a live ``repro.server`` instance."""
+efficiency experiments (Figures 3–7), plus :class:`ServerClient`, the HTTP
+client every tool, test and benchmark drives a live server with."""
 
 from repro.workloads.distributions import (
     clustered_points,
@@ -9,7 +9,7 @@ from repro.workloads.distributions import (
     sorted_points,
     uniform_points,
 )
-from repro.workloads.http_client import ServerClient, generate_load, query_payloads
+from repro.workloads.http_client import ServerClient
 from repro.workloads.queries import (QueryWorkload, mixed_query_specs,
                                      perturbed_queries, uniform_queries)
 
@@ -24,6 +24,4 @@ __all__ = [
     "perturbed_queries",
     "mixed_query_specs",
     "ServerClient",
-    "generate_load",
-    "query_payloads",
 ]

@@ -14,6 +14,7 @@ import pytest
 from server_corpus import INSERT_TRIPLES, QUERY_TRIPLES
 from repro.errors import ServerError
 from repro.workloads import ServerClient
+from repro.server.protocol import RequestParser
 from repro.workloads.http_client import _IDEMPOTENT_POST_PATHS
 
 
@@ -28,10 +29,13 @@ class TestClientRetryPolicy:
         seen = []
         original = ServerClient._round_trip
 
-        def spy(self, method, path, data, headers, *, idempotent):
-            seen.append((path, idempotent, headers.get("Idempotency-Key")))
-            return original(self, method, path, data, headers,
-                            idempotent=idempotent)
+        def spy(self, message, idempotent):
+            parser = RequestParser()
+            parser.feed(message)
+            request = parser.request
+            seen.append((request.target, idempotent,
+                         request.headers.get("Idempotency-Key")))
+            return original(self, message, idempotent)
 
         monkeypatch.setattr(ServerClient, "_round_trip", spy)
         client.insert(INSERT_TRIPLES[0])

@@ -14,40 +14,48 @@ def test_requests_reuse_one_connection(make_server):
     _, client = make_server()
     for _ in range(3):
         client.health()
-    connection = client._local.connection
-    assert connection is not None
-    assert client._local.served == 3
+    assert client.stats() == {"requests": 3, "connections_opened": 1,
+                              "requests_reused": 2, "stale_retries": 0}
     client.knn(QUERY_TRIPLES[0], 3)
     # Still the same socket: POSTs and GETs share the persistent connection.
-    assert client._local.connection is connection
-    assert client._local.served == 4
+    assert client.stats() == {"requests": 4, "connections_opened": 1,
+                              "requests_reused": 3, "stale_retries": 0}
 
 
 def test_connections_are_per_thread(make_server):
     _, client = make_server()
     client.health()
-    main_connection = client._local.connection
-    seen = {}
+    thread = threading.Thread(target=client.health)
+    thread.start()
+    thread.join()
+    assert client.stats()["connections_opened"] == 2
+    # The main thread's socket survived the worker's request.
+    client.health()
+    assert client.stats()["connections_opened"] == 2
+    assert client.stats()["requests_reused"] == 1
+
+
+def test_close_from_the_main_thread_releases_a_worker_threads_socket(make_server):
+    _, client = make_server()
+    served, closed = threading.Event(), threading.Event()
 
     def worker():
         client.health()
-        seen["connection"] = client._local.connection
+        served.set()
+        closed.wait(10.0)
+        # Its socket is gone: the client transparently reconnects.
+        assert client.health()["status"] == "ok"
 
     thread = threading.Thread(target=worker)
     thread.start()
-    thread.join()
-    assert seen["connection"] is not main_connection
-    assert client._local.connection is main_connection
-
-
-def test_close_drops_only_this_threads_connection(make_server):
-    _, client = make_server()
-    client.health()
-    assert client._local.connection is not None
-    client.close()
-    assert client._local.connection is None
-    # And the client transparently reconnects afterwards.
-    assert client.health()["status"] == "ok"
+    assert served.wait(10.0)
+    with client:
+        pass  # leaving the block closes every thread's socket
+    closed.set()
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    assert client.stats() == {"requests": 2, "connections_opened": 2,
+                              "requests_reused": 0, "stale_retries": 0}
 
 
 def test_stale_keepalive_socket_is_retried_once(make_server):
@@ -60,6 +68,7 @@ def test_stale_keepalive_socket_is_retried_once(make_server):
     # The next request hits the dead socket, retries on a fresh connection
     # and succeeds without surfacing an error.
     assert client.health()["status"] == "ok"
+    assert client.stats()["stale_retries"] == 1
 
 
 def test_fresh_connection_failure_is_not_retried(make_server):
@@ -67,6 +76,7 @@ def test_fresh_connection_failure_is_not_retried(make_server):
     server.close(checkpoint=False)
     with pytest.raises(ServerError):
         client.health()
+    assert client.stats()["stale_retries"] == 0
 
 
 def test_keepalive_responses_stay_correct_under_reuse(make_server):
@@ -78,4 +88,5 @@ def test_keepalive_responses_stay_correct_under_reuse(make_server):
         insert = client.insert(BASE_TRIPLES[0])
         assert insert["seq"] >= 1
         assert client.health()["status"] == "ok"
-    assert client._local.served == 15
+    assert client.stats() == {"requests": 15, "connections_opened": 1,
+                              "requests_reused": 14, "stale_retries": 0}

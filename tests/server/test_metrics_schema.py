@@ -182,5 +182,8 @@ class TestPrometheusExposition:
         from repro.errors import ServerError
 
         _, client = make_server()
-        with pytest.raises(ServerError):
+        with pytest.raises(ServerError) as excinfo:
             client.request_text("/v1/metrics?format=openmetrics")
+        # The structured error, not the raw JSON body as the message.
+        assert (excinfo.value.status, excinfo.value.kind) == (400, "QueryError")
+        assert not str(excinfo.value).startswith("{")

@@ -37,6 +37,12 @@ def shard(make_base):
         server.close()
 
 
+def scan(client, kind, coordinates, **bound):
+    """``POST /v1/shard/<kind>``: one partition scan, as the shard sent it."""
+    return client.request("POST", f"/v1/shard/{kind}",
+                          {"coordinates": list(coordinates), **bound})
+
+
 def resolve(client, wire):
     """A scan's ``rows`` through the shard's published table: (point, distance) pairs."""
     table = client.request("GET", "/v1/shard/rows")
@@ -55,7 +61,7 @@ class TestScanEndpoints:
     def test_knn_scan_equals_local_partition_scan(self, shard):
         index, partition_id, _, client = shard
         point = index.embed_query(BASE_TRIPLES[0])
-        wire = client.shard_knn(point.coordinates, 3)
+        wire = scan(client, "knn", point.coordinates, k=3)
         state = index.tree.scan_partition_knn(partition_id, point, 3)
         assert wire["partition_id"] == partition_id
         # labels, coordinates and distances, exactly
@@ -65,7 +71,7 @@ class TestScanEndpoints:
     def test_range_scan_equals_local_partition_scan(self, shard):
         index, partition_id, _, client = shard
         point = index.embed_query(BASE_TRIPLES[1])
-        wire = client.shard_range(point.coordinates, 0.3)
+        wire = scan(client, "range", point.coordinates, radius=0.3)
         state = index.tree.scan_partition_range(partition_id, point, 0.3)
         assert wire["rows"]
         assert resolve(client, wire) == local(state.sorted_results())
@@ -73,8 +79,8 @@ class TestScanEndpoints:
     def test_scans_have_one_shape_and_carry_no_triples(self, shard):
         index, _, _, client = shard
         point = index.embed_query(BASE_TRIPLES[0])
-        for wire in (client.shard_knn(point.coordinates, 2),
-                     client.shard_range(point.coordinates, 0.3)):
+        for wire in (scan(client, "knn", point.coordinates, k=2),
+                     scan(client, "range", point.coordinates, radius=0.3)):
             assert set(wire) == {"partition_id", "rows_id", "rows", "nodes_visited",
                                  "points_examined", "latency_ms", "cost"}
             assert all(isinstance(row, int) and isinstance(distance, float)
@@ -105,7 +111,7 @@ class TestScanEndpoints:
     def test_scans_accumulate_cost_counters(self, shard):
         index, partition_id, _, client = shard
         point = index.embed_query(BASE_TRIPLES[0])
-        wire = client.shard_knn(point.coordinates, 3)
+        wire = scan(client, "knn", point.coordinates, k=3)
         assert wire["cost"]["distance_computations"] > 0
         metrics = client.metrics()
         cost = metrics["shard"]["cost"]
@@ -136,7 +142,7 @@ class TestScanEndpoints:
             p.partition_id for p in index.tree.partitions
         }
         point = index.embed_query(BASE_TRIPLES[0])
-        client.shard_knn(point.coordinates, 2)
+        scan(client, "knn", point.coordinates, k=2)
         metrics = client.metrics()
         assert set(metrics) == {"shard"}
         assert metrics["shard"]["scans"] >= 1
@@ -171,7 +177,7 @@ class TestScanSchemas:
     def test_dimension_mismatch_is_a_schema_error(self, shard):
         _, _, _, client = shard
         with pytest.raises(ServerError) as excinfo:
-            client.shard_knn([0.1, 0.2], 3)  # the index is 3-dimensional
+            scan(client, "knn", [0.1, 0.2], k=3)  # the index is 3-dimensional
         assert excinfo.value.status == 400
         assert "coordinates" in str(excinfo.value)
 
@@ -198,7 +204,7 @@ class TestSnapshotBoot:
             server.serve_background()
             client = ServerClient(server.url)
             point = index.embed_query(BASE_TRIPLES[0])
-            wire = client.shard_knn(point.coordinates, 4)
+            wire = scan(client, "knn", point.coordinates, k=4)
             state = index.tree.scan_partition_knn(partition_id, point, 4)
             assert resolve(client, wire) == local(state.results.neighbours())
             # Booted from the snapshot or sharing the built tree: one table.

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import sys
 import tempfile
 import threading
@@ -53,7 +54,7 @@ from repro.requirements import (
 )
 from repro.server import SemTreeServer, ServerApp
 from repro.server.bootstrap import vocabulary_hints
-from repro.workloads import ServerClient, query_payloads
+from repro.workloads import ServerClient
 
 #: The flaky replica's server-side fault plan: deterministic (seeded) 503s
 #: on roughly a third of its partition scans, nothing else.
@@ -96,6 +97,20 @@ def build_corpus(tmp_dir: Path):
     partitions = [p.partition_id for p in index.tree.partitions
                   if p.point_count > 0]
     return index, triples, snapshot, partitions
+
+
+def stage_payloads(triples, seed: int) -> List[Tuple[str, Dict]]:
+    """``STAGE_REQUESTS`` seeded queries over ``triples``: 60 % k-NN (k=3),
+    the rest range (radius 0.15)."""
+    rng = random.Random(seed)
+    payloads = []
+    for _ in range(STAGE_REQUESTS):
+        triple = triples[rng.randrange(len(triples))]
+        if rng.random() < 0.6:
+            payloads.append(("/v1/knn", ServerClient.knn_payload(triple, 3)))
+        else:
+            payloads.append(("/v1/range", ServerClient.range_payload(triple, 0.15)))
+    return payloads
 
 
 def oracle_answers(index, tmp_dir: Path, workloads) -> List[List[List[float]]]:
@@ -183,14 +198,10 @@ def run_chaos() -> List[str]:
             return [f"corpus built only {len(partitions)} data partitions"]
         flaky_partition, crash_partition = partitions[0], partitions[1]
 
-        # Distinct payloads per stage (repeat_fraction=0, fresh seeds): a
+        # Fresh payloads per stage (no deliberate repeats, fresh seeds): a
         # coordinator cache hit runs no scatter, and a masked scatter would
         # make the whole exercise vacuous.
-        workloads = [
-            query_payloads(triples, STAGE_REQUESTS, k=3, radius=0.15,
-                           repeat_fraction=0.0, seed=100 + stage)
-            for stage in range(4)
-        ]
+        workloads = [stage_payloads(triples, seed=100 + stage) for stage in range(4)]
         expected = oracle_answers(index, tmp_dir, workloads)
 
         fleet: Dict[str, List] = {}
