@@ -4,10 +4,12 @@ The walkthrough behind ``docs/ingest.md``:
 
 1. build a small requirements index and wrap it in an
    :class:`~repro.ingest.ingesting.IngestingIndex` (write-ahead log + delta
-   segment) with a background compactor;
+   segment);
 2. stream inserts *while* answering queries through the
-   :class:`~repro.service.engine.QueryEngine` — no quiescing, and every
-   answer matches an index rebuilt from scratch;
+   :class:`~repro.service.engine.QueryEngine` — no quiescing, the insert
+   that crosses the compaction threshold folds the delta into the tree
+   (the server's rule too), and every answer matches an index rebuilt from
+   scratch;
 3. checkpoint, keep inserting, "crash", and recover from snapshot + WAL
    tail with identical answers.
 
@@ -22,7 +24,7 @@ import tempfile
 from pathlib import Path
 
 from repro.core import SemTreeConfig, SemTreeIndex
-from repro.ingest import BackgroundCompactor, IngestingIndex
+from repro.ingest import IngestingIndex
 from repro.rdf import Triple
 from repro.requirements import build_requirement_distance, build_requirement_vocabularies
 from repro.service import QueryEngine, QuerySpec
@@ -73,10 +75,10 @@ def main() -> None:
     spec = QuerySpec.k_nearest(QUERY, 3)
 
     print(f"Base index: {len(live)} triples, generation {live.generation}")
-    with QueryEngine(live, workers=2) as engine, \
-            BackgroundCompactor(live, poll_interval=0.01):
+    with QueryEngine(live, workers=2) as engine:
         for position, triple in enumerate(STREAM, start=1):
             live.insert(triple, document_id=f"doc-{position}")
+            live.maybe_compact()    # the inserter that crosses the threshold folds
             result = engine.execute(spec)
             best = result.matches[0]
             print(f"  insert #{position}: delta={len(live.delta):>2}  "

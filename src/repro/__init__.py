@@ -19,14 +19,13 @@ The package is organised as one subpackage per subsystem:
 * :mod:`repro.service` — the concurrent query-serving engine (result
   caching, batch execution, deadlines, index snapshots);
 * :mod:`repro.ingest` — live ingestion (write-ahead log, delta index,
-  background compaction) so inserts no longer quiesce queries;
+  threshold compaction) so inserts no longer quiesce queries;
 * :mod:`repro.server` — the process-level HTTP front end over the serving
   stack (wire schemas, ``python -m repro.server``, checkpoint-on-exit).
 """
 
 from repro.core.config import SemTreeConfig, SplitStrategy
 from repro.core.semtree import SemanticMatch, SemTreeIndex
-from repro.ingest.compactor import BackgroundCompactor
 from repro.ingest.ingesting import IngestingIndex
 from repro.ingest.wal import WriteAheadLog
 from repro.rdf.triple import Triple, TriplePattern
@@ -52,7 +51,6 @@ __all__ = [
     "QuerySpec",
     "QueryKind",
     "IngestingIndex",
-    "BackgroundCompactor",
     "WriteAheadLog",
     "save_index",
     "load_index",

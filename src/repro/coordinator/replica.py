@@ -231,9 +231,6 @@ class ReplicaSet:
             "half_open": sum(1 for state in states if state == HALF_OPEN),
         }
 
-    def __len__(self) -> int:
-        return len(self.replicas)
-
     def __repr__(self) -> str:
         return (f"ReplicaSet({self.partition_id!r}, "
                 f"urls={[r.url for r in self.replicas]})")

@@ -134,17 +134,9 @@ class ShardTopology:
         """Every partition the topology covers, sorted."""
         return tuple(sorted(self.shards))
 
-    @property
-    def replica_count(self) -> int:
-        """Total replica URLs across every partition."""
-        return sum(len(urls) for urls in self.shards.values())
-
     def missing(self, required: Iterable[str]) -> List[str]:
         """Partitions in ``required`` that no shard serves (sorted)."""
         return sorted(set(required) - set(self.shards))
-
-    def __len__(self) -> int:
-        return len(self.shards)
 
     def __repr__(self) -> str:
         return f"ShardTopology({dict(self.shards)!r})"

@@ -187,9 +187,6 @@ class FaultPlan:
         self._seed = seed
         self._lock = threading.Lock()
 
-    def __bool__(self) -> bool:
-        return bool(self._states)
-
     def __len__(self) -> int:
         return len(self._states)
 

@@ -9,15 +9,14 @@ serving reads, instead of quiescing queries between mutation batches:
   freshly inserted, FastMap-projected points, immediately queryable;
 * :mod:`repro.ingest.ingesting` — :class:`IngestingIndex`, merging tree ∪
   delta reads with exact semantics under an epoch/read-write-lock scheme,
-  plus checkpoint/recover;
-* :mod:`repro.ingest.compactor` — threshold-driven folding of the delta
-  into the distributed tree, on the caller's thread or a background one;
+  threshold-driven folding of the delta into the distributed tree on the
+  caller's thread (:meth:`IngestingIndex.maybe_compact`), plus
+  checkpoint/recover;
 * :mod:`repro.ingest.rwlock` — the writer-preferring readers–writer lock.
 
 See ``docs/ingest.md`` for the subsystem guide.
 """
 
-from repro.ingest.compactor import BackgroundCompactor, Compactor
 from repro.ingest.delta import DeltaIndex
 from repro.ingest.ingesting import DEFAULT_COMPACTION_THRESHOLD, IngestingIndex
 from repro.ingest.rwlock import ReadWriteLock
@@ -29,7 +28,5 @@ __all__ = [
     "WriteAheadLog",
     "WalRecord",
     "DeltaIndex",
-    "Compactor",
-    "BackgroundCompactor",
     "ReadWriteLock",
 ]

@@ -14,7 +14,9 @@ This class removes that rule with the standard LSM recipe on top of
 * **compaction** folds the delta into the distributed tree under the
   *write* side of the lock, bumping the index generation exactly once per
   fold — the serving layer's result cache invalidates at compaction
-  granularity, not per insert;
+  granularity, not per insert.  The index never folds on its own: the
+  caller that crossed the threshold calls :meth:`IngestingIndex.maybe_compact`
+  (the server does so on the inserting request);
 * **checkpoints** snapshot the tree (with the applied WAL sequence number)
   so recovery is snapshot + WAL-tail replay.
 
@@ -43,7 +45,8 @@ from repro.ingest.wal import WalRecord, WriteAheadLog
 from repro.rdf.triple import Triple
 from repro.semantics.triple_distance import TripleDistance
 from repro.service.metrics import IngestMetrics
-from repro.service.snapshot import load_index, save_index, snapshot_wal_seq
+from repro.service.snapshot import (load_index_payload, read_snapshot_payload,
+                                    save_index)
 
 __all__ = ["IngestingIndex"]
 
@@ -66,7 +69,7 @@ class IngestingIndex:
         construction, which makes the constructor double as crash recovery
         when the WAL is non-empty.
     compaction_threshold:
-        Delta size at which :meth:`should_compact` turns true.
+        Delta size at which :meth:`maybe_compact` folds.
     metrics:
         Optional externally-owned :class:`IngestMetrics`.
     vocabulary_hints:
@@ -102,11 +105,12 @@ class IngestingIndex:
         # plain dicts; one lock keeps inserter threads and the engine's
         # planning thread from racing in them.
         self._embed_lock = threading.Lock()
+        # One threshold fold at a time (see maybe_compact).
+        self._fold_lock = threading.Lock()
         self._applied_seq = applied_seq
         # A checkpoint may have truncated the log to empty; numbering must
         # continue after the snapshot's applied sequence regardless.
         self.wal.advance_to(applied_seq)
-        self._listeners: List = []
         replayed = 0
         for record in self.wal.replay(after=applied_seq):
             self._apply_record(record)
@@ -129,9 +133,9 @@ class IngestingIndex:
         delta.  The recovered index answers queries identically to the
         process that died.
         """
-        applied_seq = snapshot_wal_seq(snapshot_path)
-        base = load_index(snapshot_path, distance, cluster=cluster)
-        return cls(base, wal_path, applied_seq=applied_seq,
+        payload = read_snapshot_payload(snapshot_path)
+        base = load_index_payload(payload, distance, cluster=cluster)
+        return cls(base, wal_path, applied_seq=int(payload.get("wal_seq", 0)),
                    compaction_threshold=compaction_threshold, metrics=metrics)
 
     def _apply_record(self, record: WalRecord) -> None:
@@ -167,8 +171,6 @@ class IngestingIndex:
                     self.base.register_provenance(triple, document_id)
                 self.delta.add(point, seq)
         self.metrics.record_insert()
-        for listener in self._listeners:
-            listener()
         return seq
 
     def insert_many(self, triples, *, document_id: str | None = None) -> int:
@@ -177,15 +179,6 @@ class IngestingIndex:
         for triple in triples:
             seq = self.insert(triple, document_id=document_id)
         return seq
-
-    def add_insert_listener(self, listener) -> None:
-        """Register a zero-argument callable invoked after every insert.
-
-        The background compactor uses this to wake without polling.
-        Listeners run on the inserter thread and must be cheap and
-        exception-free.
-        """
-        self._listeners.append(listener)
 
     def _project(self, triple: Triple) -> LabeledPoint:
         with self._embed_lock:
@@ -196,6 +189,22 @@ class IngestingIndex:
     def should_compact(self) -> bool:
         """True when the delta has reached the compaction threshold."""
         return len(self.delta) >= self.compaction_threshold
+
+    def maybe_compact(self) -> int:
+        """Fold the delta if it has reached the threshold; returns points folded.
+
+        Called by whoever crossed the threshold, after its insert returned
+        (never under an index lock).  One fold at a time: a caller that
+        finds another fold running returns 0 at once, and the threshold is
+        checked again once the lock is held, so callers that crossed it
+        together fold once between them.
+        """
+        if not self.should_compact() or not self._fold_lock.acquire(blocking=False):
+            return 0
+        try:
+            return self.compact() if self.should_compact() else 0
+        finally:
+            self._fold_lock.release()
 
     def compact(self) -> int:
         """Fold the current delta into the distributed tree (exclusive).

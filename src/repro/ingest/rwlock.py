@@ -2,8 +2,8 @@
 
 Queries and inserts of :class:`~repro.ingest.ingesting.IngestingIndex` are
 *readers* of the distributed tree (inserts only touch the write-ahead log
-and the delta segment), so any number of them proceed in parallel.  The
-compactor and the checkpointer are the only *writers*: they mutate the tree
+and the delta segment), so any number of them proceed in parallel.  A
+compaction and a checkpoint are the only *writers*: they mutate the tree
 (and the generation), so they get exclusive access — but only for the
 duration of one fold or snapshot, which is what replaces PR 1's "quiesce all
 queries between batches" rule.

@@ -14,12 +14,12 @@ it is deliberately thin.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-import urllib.error
-import urllib.request
 from typing import Any, Dict, List, Optional, Sequence
+
+from repro.errors import ServerError
+from repro.workloads.http_client import ServerClient
 
 __all__ = ["fetch_history", "main", "render_dashboard"]
 
@@ -32,9 +32,8 @@ _TABLE_ROWS = 12
 
 def fetch_history(url: str, timeout: float = 5.0) -> Dict[str, Any]:
     """GET ``{url}/v1/history`` and return the decoded payload."""
-    target = url.rstrip("/") + "/v1/history"
-    with urllib.request.urlopen(target, timeout=timeout) as response:
-        return json.loads(response.read().decode("utf-8"))
+    with ServerClient(url, timeout=timeout) as client:
+        return client.request("GET", "/v1/history")
 
 
 def _fmt(value: Optional[float], pattern: str = "{:.1f}", none: str = "-") -> str:
@@ -115,7 +114,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             try:
                 payload = fetch_history(args.url)
                 frame = render_dashboard(payload, source=args.url)
-            except (urllib.error.URLError, OSError, ValueError) as error:
+            except (ServerError, OSError, ValueError) as error:
                 frame = f"repro top — {args.url}\ncannot fetch history: {error}\n"
             if not args.no_clear:
                 sys.stdout.write(_CLEAR)

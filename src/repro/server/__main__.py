@@ -7,8 +7,9 @@ Boot sequence (full server, the default):
    triples for older snapshots) — :func:`~repro.server.bootstrap.recover_index`;
 2. the tree is restored from the snapshot and the WAL records after its
    ``wal_seq`` are replayed into the delta;
-3. a :class:`~repro.server.app.ServerApp` (query engine + background
-   compactor) is bound to the HTTP transport
+3. a :class:`~repro.server.app.ServerApp` (query engine; it folds a
+   replayed delta already at ``--compaction-threshold``, and later the
+   insert request that crosses it folds) is bound to the HTTP transport
    (:class:`~repro.server.http.SemTreeServer`);
 4. on SIGINT/SIGTERM the server stops accepting, drains in-flight queries,
    folds the delta, writes a checkpoint back to ``--snapshot`` and
@@ -71,10 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "servers only; shards and coordinators never cache "
                              "wire bytes)")
     parser.add_argument("--compaction-threshold", type=int, default=256,
-                        help="delta size that triggers a background compaction")
-    parser.add_argument("--no-background-compaction", action="store_true",
-                        help="disable the background compactor (folds then only "
-                             "happen at the shutdown checkpoint)")
+                        help="delta size at which the inserting request folds "
+                             "the delta into the tree")
     parser.add_argument("--no-checkpoint-on-exit", action="store_true",
                         help="skip the shutdown checkpoint (the WAL alone stays "
                              "the recovery source)")
@@ -98,7 +97,6 @@ def build_server(argv: Optional[Sequence[str]] = None,
     app = ServerApp(
         index,
         checkpoint_path=None if args.no_checkpoint_on_exit else args.snapshot,
-        background_compaction=not args.no_background_compaction,
         **engine_options(args),
     )
     server = bind_server(app, args, fault_plan_from(args),

@@ -2,12 +2,11 @@
 
 :class:`ServerApp` owns the serving stack of one process — an
 :class:`~repro.ingest.ingesting.IngestingIndex` (write-ahead log + delta
-segment), a :class:`~repro.service.engine.QueryEngine` (batching, result
-cache, deadlines) and an optional
-:class:`~repro.ingest.compactor.BackgroundCompactor`.  Queries,
-observability endpoints and the lifecycle come from
-:class:`~repro.server.shell.EngineShell`; this module adds what only a
-full server has: the write endpoint, ``/v1/index``, the ``ingest`` /
+segment) and a :class:`~repro.service.engine.QueryEngine` (batching, result
+cache, deadlines).  Queries, observability endpoints and the lifecycle come
+from :class:`~repro.server.shell.EngineShell`; this module adds what only a
+full server has: the write endpoint (whose request folds the delta when it
+crosses the compaction threshold), ``/v1/index``, the ``ingest`` /
 ``index`` metrics sections, the wire-cache epoch and the shutdown
 checkpoint.
 
@@ -32,7 +31,6 @@ from collections import OrderedDict
 from typing import Any, Dict, Optional
 
 from repro.errors import QueryError
-from repro.ingest.compactor import BackgroundCompactor
 from repro.ingest.ingesting import IngestingIndex
 from repro.server.context import current_context
 from repro.server.schemas import PartialInsertError, parse_insert_request
@@ -64,19 +62,20 @@ class ServerApp(EngineShell):
     checkpoint_path:
         Where :meth:`close` writes the shutdown checkpoint (``None`` skips
         checkpoint-on-exit).
-    background_compaction:
-        Run a :class:`BackgroundCompactor` so folds happen off the serving
-        path (on by default, like a production deployment).
 
     Remaining keyword arguments (engine sizing, result cache, admission
     control, observability) are :class:`~repro.server.shell.EngineShell`'s.
+    Folds happen on the ``/v1/insert`` request that crossed the index's
+    ``compaction_threshold``, and once at construction for a recovered
+    delta already at it; a threshold the workload never reaches means no
+    fold until the shutdown checkpoint.
     """
 
     role = "server"
 
     def __init__(self, index: IngestingIndex, *,
                  checkpoint_path: str | pathlib.Path | None = None,
-                 background_compaction: bool = True, **serving_options):
+                 **serving_options):
         if not isinstance(index, IngestingIndex):
             raise QueryError(
                 "ServerApp serves an IngestingIndex (wrap the built index so "
@@ -88,9 +87,9 @@ class ServerApp(EngineShell):
             pathlib.Path(checkpoint_path) if checkpoint_path is not None else None
         )
         super().__init__(index, **serving_options)
-        # Last: a rejected engine option must not leave a compactor running.
-        self.compactor: Optional[BackgroundCompactor] = (
-            BackgroundCompactor(index).start() if background_compaction else None)
+        # A recovered WAL tail at or over the threshold folds before the
+        # first request is answered.
+        index.maybe_compact()
 
     def _bind_registry(self) -> None:
         super()._bind_registry()
@@ -134,7 +133,9 @@ class ServerApp(EngineShell):
 
         Every accepted triple is durable (WAL-appended) and queryable before
         the response is sent.  The response reports the WAL sequence numbers
-        so a client can correlate with checkpoints.
+        so a client can correlate with checkpoints.  A request whose batch
+        takes the delta to the compaction threshold folds it before
+        answering.
 
         Sending an ``Idempotency-Key`` header makes the write safely
         retryable: a replayed key returns the original response (flagged
@@ -183,6 +184,11 @@ class ServerApp(EngineShell):
                 self._idempotency[idempotency_key] = response
                 while len(self._idempotency) > IDEMPOTENCY_CACHE_LIMIT:
                     self._idempotency.popitem(last=False)
+        # The request that crossed the threshold folds, outside every index
+        # lock and after the batch is recorded: a failed fold must not turn
+        # a keyed retry into a second application.
+        if self.index.maybe_compact() and not batched:
+            response["delta_points"] = len(self.index.delta)
         return response
 
     # -- observability endpoints --------------------------------------------------------
@@ -241,8 +247,7 @@ class ServerApp(EngineShell):
         return {
             "ingest": ingest,
             "index": index,
-            "server": self._process_metrics(
-                background_compaction=self.compactor is not None),
+            "server": self._process_metrics(),
         }
 
     # -- lifecycle ----------------------------------------------------------------------
@@ -264,8 +269,6 @@ class ServerApp(EngineShell):
         return super().close(checkpoint=checkpoint)
 
     def _teardown(self, checkpoint: bool | None) -> Optional[int]:
-        if self.compactor is not None:
-            self.compactor.stop()
         self.engine.close(wait=True)
         wal_seq: Optional[int] = None
         if checkpoint:

@@ -150,9 +150,8 @@ class SemTreeServer:
         docstring) for the app's ``wire_cacheable_routes()`` — only a full
         server names any.
 
-    Use :meth:`serve_background` for an in-process server (tests, examples,
-    benchmarks) and :meth:`serve_forever` on a dedicated thread for a
-    deployment.
+    :meth:`serve_background` runs the loop on a daemon thread — in-process
+    servers (tests, examples, benchmarks) and the CLIs alike.
     """
 
     def __init__(self, app, *, host: str = "127.0.0.1", port: int = 0,
@@ -262,10 +261,6 @@ class SemTreeServer:
 
     # -- lifecycle ----------------------------------------------------------------------
 
-    def serve_forever(self) -> None:
-        """Run the event loop on the calling thread until :meth:`close`."""
-        self._run_loop()
-
     def serve_background(self) -> "SemTreeServer":
         """Serve on a daemon thread; returns once the socket is accepting."""
         if self._loop_thread is None or not self._loop_thread.is_alive():
@@ -293,9 +288,7 @@ class SemTreeServer:
             self._loop_thread.join()
             self._loop_thread = None
         elif not self._closed:
-            # serve_forever (if any) runs on another thread we cannot
-            # join; the draining flag + wakeup still stops it.  When the
-            # loop never ran at all, tear down the sockets here.
+            # The loop never ran: tear down the sockets here.
             self._teardown_loop()
         self._executor.shutdown(wait=True)
         return self.app.close(checkpoint=checkpoint)
@@ -486,6 +479,9 @@ class SemTreeServer:
             trace_id = sanitize_trace_id(request.headers.get("X-Trace-Id"))
             response = WireResponse(200, body=cached, trace_id=trace_id,
                                     close=not request.keep_alive)
+            # Counted on its endpoint like a miss ("/v1/knn" → "knn"); the
+            # engine never sees a hit, so serving.* does not count it.
+            self.app._count(request.route.rsplit("/", 1)[1])
             self.record_wire_bytes("in", len(request.body or b""))
             self.record_wire_bytes("out", len(cached))
             self.dispatcher.access_log(request.method, request.route, 200,

@@ -34,7 +34,7 @@ import time
 import urllib.parse
 from dataclasses import dataclass
 from http import HTTPStatus
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import __version__
 from repro.faults import FaultPlan, FaultSpec
@@ -91,7 +91,7 @@ class Headers:
 
     First value wins on duplicates (mirroring what ``http.client`` and the
     old ``email``-based stdlib handler did for the headers this server
-    reads); folded continuation lines are joined with a single space.
+    reads).
     """
 
     __slots__ = ("_values",)
@@ -102,11 +102,6 @@ class Headers:
     def add(self, name: str, value: str) -> None:
         self._values.setdefault(name.lower(), value)
 
-    def fold_into_last(self, name: str, extra: str) -> None:
-        key = name.lower()
-        if key in self._values:
-            self._values[key] = f"{self._values[key]} {extra}"
-
     def get(self, name: str, default: Optional[str] = None) -> Optional[str]:
         return self._values.get(name.lower(), default)
 
@@ -115,9 +110,6 @@ class Headers:
 
     def __len__(self) -> int:
         return len(self._values)
-
-    def items(self) -> Iterator[Tuple[str, str]]:
-        return iter(self._values.items())
 
 
 def _keeps_alive(version: Tuple[int, int], headers: Headers) -> bool:
@@ -255,7 +247,6 @@ class _MessageParser:
         self._body = bytearray()
         self._body_remaining = 0
         self._header_bytes = 0
-        self._last_header: Optional[str] = None
         #: The message being framed (set once its start line parsed).
         self._message: Any = None
         self.state = "line"
@@ -354,20 +345,17 @@ class _MessageParser:
             return False
         text = line.decode("latin-1")
         if text[:1] in (" ", "\t"):
-            # Obsolete line folding: continuation of the previous value.
-            if self._last_header is None:
-                self._fail(400, "BadRequest",
-                           "continuation line before any header")
-                return False
-            headers.fold_into_last(self._last_header, text.strip())
-            return True
+            # Obsolete line folding (RFC 7230 §3.2.4 allows a 400): joining
+            # it would make a header value nobody sent.
+            self._fail(400, "BadRequest",
+                       f"obsolete line folding in {text[:100]!r}")
+            return False
         name, separator, value = text.partition(":")
         if not separator or not name or name != name.strip():
             self._fail(400, "BadRequest",
                        f"malformed header line {text[:100]!r}")
             return False
         headers.add(name, value.strip())
-        self._last_header = name
         return True
 
 

@@ -5,8 +5,8 @@ set of endpoint handlers over some index.  Everything *around* the
 handlers is the same for all three and lives here:
 
 * :class:`ServiceShell` — the per-endpoint request counter, uptime, the
-  close-once lifecycle (``closed`` / ``_check_open`` / ``close`` / context
-  manager), the metrics registry, the slow-query log, the optional
+  close-once lifecycle (``closed`` / ``_check_open`` / ``close``), the
+  metrics registry, the slow-query log, the optional
   continuous profiler, the metrics history, and the routes every tier
   answers: ``/v1/healthz``, ``/v1/metrics`` (JSON and
   ``?format=prometheus``), ``/v1/debug/profile``, ``/v1/history``.
@@ -218,12 +218,6 @@ class ServiceShell:
     def _teardown(self, checkpoint: bool | None) -> Optional[int]:
         """Release what the tier owns; runs exactly once."""
         return None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 def _query_shape(spec: QuerySpec) -> Dict[str, Any]:

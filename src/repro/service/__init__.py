@@ -22,7 +22,7 @@ from repro.service.metrics import IngestMetrics, ServiceMetrics, percentile
 from repro.service.planner import (PlannedQuery, QueryKind, QueryPlanner, QuerySpec,
                                    ServableIndex)
 from repro.service.snapshot import (SNAPSHOT_FORMAT, SNAPSHOT_VERSION, load_index,
-                                    save_index, snapshot_wal_seq)
+                                    save_index)
 
 __all__ = [
     "QueryEngine",
@@ -39,7 +39,6 @@ __all__ = [
     "percentile",
     "save_index",
     "load_index",
-    "snapshot_wal_seq",
     "SNAPSHOT_FORMAT",
     "SNAPSHOT_VERSION",
 ]

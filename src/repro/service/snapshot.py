@@ -39,7 +39,7 @@ from repro.semantics.triple_distance import TripleDistance
 __all__ = ["SNAPSHOT_FORMAT", "SNAPSHOT_VERSION", "config_to_dict",
            "config_from_dict", "save_index",
            "load_index", "load_index_payload", "read_snapshot_payload",
-           "snapshot_wal_seq", "snapshot_vocabulary"]
+           "snapshot_vocabulary"]
 
 SNAPSHOT_FORMAT = "semtree-snapshot"
 SNAPSHOT_VERSION = 1
@@ -141,23 +141,6 @@ def save_index(index: SemTreeIndex, path: str | pathlib.Path, *,
     staging = target.with_suffix(target.suffix + ".staging")
     staging.write_text(json.dumps(payload))
     staging.replace(target)
-
-
-def snapshot_wal_seq(path: str | pathlib.Path) -> int:
-    """The ``wal_seq`` recorded in a snapshot (0 when absent).
-
-    Raises
-    ------
-    ParseError
-        If the file is not a SemTree snapshot.
-    """
-    try:
-        payload = json.loads(pathlib.Path(path).read_text())
-    except json.JSONDecodeError as error:
-        raise ParseError(f"snapshot is not valid JSON: {error}") from error
-    if payload.get("format") != SNAPSHOT_FORMAT:
-        raise ParseError(f"not a SemTree snapshot: format={payload.get('format')!r}")
-    return int(payload.get("wal_seq", 0))
 
 
 def snapshot_vocabulary(payload: Dict[str, Any]) -> Optional[Dict[str, Any]]:

@@ -309,10 +309,6 @@ class ServerClient:
                             self.range_payload(triple, radius, pattern=pattern,
                                                deadline=deadline))
 
-    def range_batch(self, payloads: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        """``POST /v1/range`` with a batch of query payloads; returns the results."""
-        return self.request("POST", "/v1/range", {"queries": list(payloads)})["results"]
-
     def insert(self, triple: Triple, *, document_id: str | None = None,
                idempotency_key: str | None = None) -> Dict[str, Any]:
         """``POST /v1/insert`` with one triple; returns ``{"seq": ..., ...}``.

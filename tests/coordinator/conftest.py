@@ -78,8 +78,7 @@ def make_tier(corpus_index, shard_fleet, make_transport, tmp_path):
 
     def build(role: str):
         if role == "server":
-            app = ServerApp(IngestingIndex(index, tmp_path / "wal.jsonl"),
-                            background_compaction=False)
+            app = ServerApp(IngestingIndex(index, tmp_path / "wal.jsonl"))
         elif role == "shard":
             app = ShardApp.from_index(index, data_partitions[0])
         else:

@@ -1,74 +1,134 @@
-"""Threshold policy and the background compaction thread."""
+"""The threshold fold: ``IngestingIndex.maybe_compact`` and the server's
+rule that the request which crossed the threshold pays for it."""
 
-import time
+import sys
+import threading
 
 from ingest_corpus import INSERT_TRIPLES
-from repro.ingest import BackgroundCompactor, Compactor, IngestingIndex
+from repro.ingest import IngestingIndex
+from repro.io.serialization import triple_to_dict
+from repro.server import ServerApp
 
 
-def wait_until(predicate, timeout=5.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.005)
-    return predicate()
+def insert_body(triple):
+    return {"triple": triple_to_dict(triple)}
 
 
 class TestCompactor:
     def test_maybe_compact_respects_the_threshold(self, make_base, tmp_path):
         index = IngestingIndex(make_base(), tmp_path / "wal.jsonl",
                                compaction_threshold=3)
-        compactor = Compactor(index)
         index.insert(INSERT_TRIPLES[0])
         index.insert(INSERT_TRIPLES[1])
-        assert not compactor.should_compact()
-        assert compactor.maybe_compact() == 0
+        assert not index.should_compact()
+        assert index.maybe_compact() == 0
         index.insert(INSERT_TRIPLES[2])
-        assert compactor.should_compact()
-        assert compactor.maybe_compact() == 3
+        assert index.should_compact()
+        assert index.maybe_compact() == 3
         assert len(index.delta) == 0
 
+    def test_inserts_and_replay_never_fold_on_their_own(self, make_base, tmp_path):
+        wal_path = tmp_path / "wal.jsonl"
+        index = IngestingIndex(make_base(), wal_path, compaction_threshold=2)
+        for triple in INSERT_TRIPLES[:5]:
+            index.insert(triple)
+        assert len(index.delta) == 5 and index.metrics.compactions == 0
+        index.close()
+        replayed = IngestingIndex(make_base(), wal_path, compaction_threshold=2)
+        assert len(replayed.delta) == 5 and replayed.metrics.compactions == 0
 
-class TestBackgroundCompactor:
-    def test_folds_when_the_threshold_is_crossed(self, make_base, tmp_path):
+    def test_callers_crossing_together_fold_once(self, make_base, tmp_path):
+        index = IngestingIndex(make_base(), tmp_path / "wal.jsonl",
+                               compaction_threshold=4)
+        for triple in INSERT_TRIPLES[:3]:
+            index.insert(triple)
+        both_inserted = threading.Barrier(2)
+        folded = []
+
+        def insert_then_fold(triple):
+            index.insert(triple)
+            both_inserted.wait(5.0)
+            folded.append(index.maybe_compact())
+
+        threads = [threading.Thread(target=insert_then_fold, args=(triple,))
+                   for triple in INSERT_TRIPLES[3:5]]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(folded) == [0, 5]
+        assert index.metrics.compactions == 1
+        assert len(index.delta) == 0
+
+    def test_many_inserters_fold_only_full_deltas_and_lose_nothing(
+            self, make_base, tmp_path):
         index = IngestingIndex(make_base(), tmp_path / "wal.jsonl",
                                compaction_threshold=3)
-        with BackgroundCompactor(index, poll_interval=0.01):
-            generation = index.generation
-            for triple in INSERT_TRIPLES[:3]:
-                index.insert(triple)
-            assert wait_until(lambda: index.generation == generation + 1)
-            assert wait_until(lambda: len(index.delta) == 0)
-        assert index.metrics.compactions >= 1
+        base_points = len(index)
+        workers, per_worker = 8, 6
+
+        def insert_and_fold(offset):
+            for step in range(per_worker):
+                index.insert(INSERT_TRIPLES[(offset + step) % len(INSERT_TRIPLES)])
+                index.maybe_compact()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=insert_and_fold, args=(worker,))
+                       for worker in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        inserted = workers * per_worker
+        stats = index.statistics()
+        # The recheck under the fold lock: no fold ever took a short delta.
+        assert stats["points_compacted"] >= stats["compactions"] * 3 > 0
+        assert stats["points_compacted"] + stats["delta_points"] == inserted
+        assert len(index) == base_points + inserted
 
     def test_queries_stay_correct_while_it_runs(self, make_base, tmp_path):
         index = IngestingIndex(make_base(), tmp_path / "wal.jsonl",
                                compaction_threshold=2)
         query = INSERT_TRIPLES[2]
-        with BackgroundCompactor(index, poll_interval=0.01):
-            for triple in INSERT_TRIPLES:
-                index.insert(triple)
-                (best,) = index.k_nearest(triple, 1)
-                assert best.triple == triple  # the fresh insert always wins
-            assert wait_until(lambda: len(index.delta) < index.compaction_threshold)
+        for triple in INSERT_TRIPLES:
+            index.insert(triple)
+            (best,) = index.k_nearest(triple, 1)
+            assert best.triple == triple  # the fresh insert always wins
+            index.maybe_compact()
+            (best,) = index.k_nearest(triple, 1)
+            assert best.triple == triple  # and still does after a fold
+        assert len(index.delta) < index.compaction_threshold
+        assert index.metrics.compactions == len(INSERT_TRIPLES) // 2
         (best,) = index.k_nearest(query, 1)
         assert best.triple == query
 
-    def test_stop_with_final_compact_drains_the_delta(self, make_base, tmp_path):
-        index = IngestingIndex(make_base(), tmp_path / "wal.jsonl",
-                               compaction_threshold=1_000)
-        compactor = BackgroundCompactor(index).start()
-        assert compactor.is_running
-        index.insert(INSERT_TRIPLES[0])
-        compactor.stop(final_compact=True)
-        assert not compactor.is_running
-        assert len(index.delta) == 0
 
-    def test_start_is_idempotent(self, make_base, tmp_path):
-        index = IngestingIndex(make_base(), tmp_path / "wal.jsonl")
-        compactor = BackgroundCompactor(index).start()
-        thread_before = compactor._thread
-        compactor.start()
-        assert compactor._thread is thread_before
-        compactor.stop()
+class TestServerAppFolds:
+    def test_folds_when_the_threshold_is_crossed(self, make_base, tmp_path):
+        index = IngestingIndex(make_base(), tmp_path / "wal.jsonl",
+                               compaction_threshold=3)
+        app = ServerApp(index)
+        try:
+            generation = index.generation
+            responses = [app.handle_insert(insert_body(triple))
+                         for triple in INSERT_TRIPLES[:3]]
+            assert [r["delta_points"] for r in responses] == [1, 2, 0]
+            assert index.generation == generation + 1
+            assert app.metrics()["ingest"]["compactions"] == 1
+        finally:
+            app.close()
+
+    def test_construction_starts_no_fold_thread(self, make_base, tmp_path):
+        before = set(threading.enumerate())
+        app = ServerApp(IngestingIndex(make_base(), tmp_path / "wal.jsonl"))
+        try:
+            started = [t.name for t in set(threading.enumerate()) - before]
+            assert not [name for name in started if "compact" in name], started
+        finally:
+            app.close()

@@ -6,8 +6,9 @@ Two layers of evidence:
   inserts and queries are applied one step at a time; after every step each
   query through the :class:`QueryEngine` must answer exactly like an index
   rebuilt from scratch over the triples inserted so far;
-* a genuinely *threaded* mixed workload — inserter threads stream triples
-  while query threads hammer the engine and the background compactor folds;
+* a genuinely *threaded* mixed workload — an inserter thread streams
+  triples, folding whenever its insert crosses the threshold, while query
+  threads hammer the engine;
   every answer must be exact for the prefix of the insert stream it
   observed, and the final quiesced state must equal the full oracle.
 """
@@ -18,7 +19,7 @@ import threading
 import pytest
 
 from ingest_corpus import BASE_TRIPLES, INSERT_TRIPLES, QUERY_TRIPLES, canonical
-from repro.ingest import BackgroundCompactor, IngestingIndex
+from repro.ingest import IngestingIndex
 from repro.service import QueryEngine, QuerySpec
 
 
@@ -101,13 +102,13 @@ class TestThreadedMixedWorkload:
             legal.append(canonical(oracle.k_nearest(query, k)))
         spec = QuerySpec.k_nearest(query, k)
 
-        with QueryEngine(ingesting, workers=3) as engine, \
-                BackgroundCompactor(ingesting, poll_interval=0.005):
+        with QueryEngine(ingesting, workers=3) as engine:
 
             def insert_worker():
                 try:
                     for triple in stream:
                         ingesting.insert(triple)
+                        ingesting.maybe_compact()
                 except Exception as error:  # pragma: no cover - failure path
                     errors.append(error)
 

@@ -1,11 +1,13 @@
 """Durable recovery: checkpoint snapshot + WAL tail replay answers identically."""
 
+import pathlib
+
 import pytest
 
 from ingest_corpus import INSERT_TRIPLES, QUERY_TRIPLES, canonical
 from repro.errors import ParseError
 from repro.ingest import IngestingIndex
-from repro.service import snapshot_wal_seq
+from repro.service.snapshot import read_snapshot_payload
 
 
 def oracle_index(make_base, inserted):
@@ -48,6 +50,28 @@ class TestCheckpointRecover:
         assert len(recovered) == len(make_base()) + len(inserted)
         assert len(recovered.delta) == len(inserted) - 4  # the replayed tail
         assert_answers_identical(recovered, oracle_index(make_base, inserted))
+
+    def test_recover_reads_the_snapshot_once(self, make_base, distance, tmp_path,
+                                             monkeypatch):
+        wal_path = tmp_path / "wal.jsonl"
+        snap_path = tmp_path / "snap.json"
+        live = IngestingIndex(make_base(), wal_path)
+        live.insert(INSERT_TRIPLES[0])
+        live.checkpoint(snap_path)
+        live.insert(INSERT_TRIPLES[1])
+        live.close()
+        reads = []
+        read_text = pathlib.Path.read_text
+
+        def counting_read_text(path, *args, **kwargs):
+            if path == snap_path:
+                reads.append(path)
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "read_text", counting_read_text)
+        recovered = IngestingIndex.recover(snap_path, wal_path, distance)
+        assert len(reads) == 1
+        assert (recovered.applied_seq, len(recovered.delta)) == (1, 1)
 
     def test_recovery_restores_provenance(self, make_base, distance, tmp_path):
         wal_path = tmp_path / "wal.jsonl"
@@ -96,7 +120,7 @@ class TestCheckpointRecover:
             live.insert(triple)
         applied = live.checkpoint(snap_path)
         assert applied == 5
-        assert snapshot_wal_seq(snap_path) == 5
+        assert read_snapshot_payload(snap_path)["wal_seq"] == 5
         assert len(live.wal) == 0          # everything is covered by the snapshot
         assert len(live.delta) == 0        # compact_first folded the delta
         live.insert(INSERT_TRIPLES[5])     # sequence numbering continues

@@ -8,10 +8,14 @@ header the client surfaces on :class:`ServerError`.
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from server_corpus import QUERY_TRIPLES
 from repro.errors import AdmissionError, QueryError, ServerError
+from repro.faults import FaultPlan, FaultSpec
 from repro.service.admission import (
     AdmissionController, TokenBucket, CLIENT_BUCKET_LIMIT, MIN_RETRY_AFTER,
 )
@@ -176,6 +180,28 @@ class TestAdmissionOverHttp:
         exposition = client.metrics_prometheus()
         assert 'repro_requests_shed_total{reason="rate_limit"} 2' in exposition
         assert "repro_requests_admitted_total 1" in exposition
+
+    def test_transport_sheds_at_enqueue_once_the_pool_holds_the_depth(
+            self, make_server):
+        plan = FaultPlan([FaultSpec(operation="handle", target="/v1/knn",
+                                    kind="latency", latency=1.0, max_fires=1)])
+        server, client = make_server(max_queue_depth=1,
+                                     server_kwargs={"fault_plan": plan})
+        parked = threading.Thread(target=client.knn, args=(QUERY_TRIPLES[0], 3))
+        parked.start()
+        deadline = time.monotonic() + 5.0
+        while plan.fired() == 0 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert plan.fired() == 1, "the first request is parked in its handler"
+        with pytest.raises(ServerError) as excinfo:
+            client.knn(QUERY_TRIPLES[1], 3)
+        parked.join(10.0)
+        assert not parked.is_alive()
+        error = excinfo.value
+        assert error.status == 503 and error.kind == "AdmissionError"
+        assert error.retry_after is not None and error.retry_after >= 1.0
+        assert 'repro_requests_shed_total{reason="queue_full"} 1' in \
+            client.metrics_prometheus().splitlines()
 
     def test_engine_exposes_admission_signals(self, make_server):
         server, client = make_server()

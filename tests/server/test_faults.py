@@ -111,7 +111,7 @@ def make_faulty_server(make_base, tmp_path):
 
     def start(plan: FaultPlan):
         live = IngestingIndex(make_base(), tmp_path / "wal.jsonl")
-        app = ServerApp(live, checkpoint_path=None, background_compaction=False)
+        app = ServerApp(live, checkpoint_path=None)
         server = SemTreeServer(app, fault_plan=plan).serve_background()
         started.append(server)
         return server, ServerClient(server.url)
@@ -175,7 +175,7 @@ class TestHandlerInjection:
             '[{"operation": "handle", "target": "/v1/range", '
             '"kind": "http_5xx", "status": 599, "max_fires": 1}]')
         live = IngestingIndex(make_base(), tmp_path / "wal_env.jsonl")
-        app = ServerApp(live, checkpoint_path=None, background_compaction=False)
+        app = ServerApp(live, checkpoint_path=None)
         server = SemTreeServer(app).serve_background()
         try:
             client = ServerClient(server.url)

@@ -143,8 +143,9 @@ class TestInserts:
         client.insert_many(INSERT_TRIPLES)
         deadline_metrics = client.metrics()
         assert deadline_metrics["ingest"]["inserts"] == len(INSERT_TRIPLES)
-        # the background compactor folds once the threshold is crossed;
-        # answers stay exact either way, so only assert the counters move.
+        # the batch crossed the threshold, so its request folded it all
+        assert deadline_metrics["ingest"]["compactions"] == 1
+        assert deadline_metrics["ingest"]["delta_points"] == 0
         assert deadline_metrics["index"]["points"] == \
             len(BASE_TRIPLES) + len(INSERT_TRIPLES)
 
@@ -176,6 +177,17 @@ class TestObservability:
         assert metrics["serving"]["queries_by_kind"] == {"knn": 2, "range": 1}
         assert metrics["cache"]["hits"] >= 1
         assert metrics["server"]["requests"] == {"knn": 2, "range": 1, "metrics": 1}
+
+    def test_wire_cache_hits_count_as_requests(self, make_server):
+        _, client = make_server(server_kwargs={"wire_cache": True})
+        payload = ServerClient.knn_payload(QUERY_TRIPLES[0], 2)
+        first = client.request("POST", "/v1/knn", payload)
+        assert client.request("POST", "/v1/knn", payload) == first  # replayed bytes
+        metrics = client.metrics()
+        assert metrics["server"]["requests"]["knn"] == 2
+        assert metrics["serving"]["queries"] == 1  # the hit never reached the engine
+        assert 'repro_http_requests_total{endpoint="knn"} 2' in \
+            client.metrics_prometheus().splitlines()
 
 
 class TestTransportErrors:

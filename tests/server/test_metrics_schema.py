@@ -34,7 +34,7 @@ INGEST_KEYS = {
 }
 COMPACTION_KEYS = {"mean", "max", "last"}
 INDEX_KEYS = {"generation", "points", "tree_points", "kernel", "dimensions"}
-SERVER_KEYS = {"uptime_seconds", "requests", "background_compaction", "admission"}
+SERVER_KEYS = {"uptime_seconds", "requests", "admission"}
 ADMISSION_KEYS = {"enabled", "max_queue_depth", "client_rate", "admitted",
                   "shed", "shed_total", "tracked_clients"}
 

@@ -2,7 +2,7 @@
 
 ``compact()`` drains the delta and only then inserts the drained points
 into the tree, one by one, under the write lock.  A count taken in between
-without the lock misses every acknowledged point still in the compactor's
+without the lock misses every acknowledged point still in the fold's
 hands — and that count is ``len(index)``, ``/v1/index`` ``points``,
 ``/healthz`` ``points`` and the ``repro_index_points`` gauge.  The test
 parks a fold on its first tree insert, asks from another thread, and lets
@@ -27,7 +27,7 @@ READERS = {
 
 @pytest.mark.parametrize("reader", sorted(READERS))
 def test_point_count_never_drops_while_a_fold_is_parked(make_server, reader):
-    server, _ = make_server(compaction_threshold=10_000, background_compaction=False)
+    server, _ = make_server(compaction_threshold=10_000)
     live = server.app.index
     for triple in INSERT_TRIPLES + STREAM_TRIPLES:
         live.insert(triple)

@@ -62,6 +62,8 @@ CASES = [
      b"\r\n", 431),
     ("header_without_colon",
      b"GET /v1/healthz HTTP/1.1\r\nnot-a-header\r\n\r\n", 400),
+    ("obsolete_line_folding",
+     b"GET /v1/healthz HTTP/1.1\r\nHost: fuzz\r\n folded\r\n\r\n", 400),
     ("bad_content_length",
      _post(b"/v1/knn", b"Content-Type: application/json\r\n"
            b"Content-Length: banana\r\n"), 411),

@@ -70,7 +70,7 @@ class TestKillAndRecover:
         server.close()  # graceful: fold, checkpoint, truncate WAL
 
         recovered = recover_index(tmp_path / "snapshot.json", tmp_path / "wal.jsonl")
-        with SemTreeServer(ServerApp(recovered, background_compaction=False)) as reborn:
+        with SemTreeServer(ServerApp(recovered)) as reborn:
             reborn.serve_background()
             reborn_client = ServerClient(reborn.url)
             oracle = oracle_index(distance, INSERT_TRIPLES)
@@ -95,14 +95,29 @@ class TestKillAndRecover:
             assert canonical(recovered.k_nearest(triple, 3)) == \
                 canonical(oracle.k_nearest(triple, 3))
 
+    def test_a_tail_at_the_threshold_is_folded_before_the_first_answer(
+            self, make_server, tmp_path):
+        server, client = make_server(compaction_threshold=10_000)
+        server.app.index.checkpoint(tmp_path / "snapshot.json")
+        client.insert_many(INSERT_TRIPLES[:4])                   # WAL tail only
+        server.close(checkpoint=False)
+
+        recovered = recover_index(tmp_path / "snapshot.json", tmp_path / "wal.jsonl",
+                                  compaction_threshold=4)
+        assert len(recovered.delta) == 4
+        with SemTreeServer(ServerApp(recovered)) as reborn:
+            reborn.serve_background()
+            info = ServerClient(reborn.url).index_info()
+        assert info["delta_points"] == 0
+        assert info["points"] == len(BASE_TRIPLES) + 4
+
     def test_recovered_server_accepts_further_inserts(self, make_server, tmp_path):
         server, client = make_server()
         client.insert(INSERT_TRIPLES[0])
         server.close()
 
         recovered = recover_index(tmp_path / "snapshot.json", tmp_path / "wal.jsonl")
-        app = ServerApp(recovered, checkpoint_path=tmp_path / "snapshot.json",
-                        background_compaction=False)
+        app = ServerApp(recovered, checkpoint_path=tmp_path / "snapshot.json")
         with SemTreeServer(app) as reborn:
             reborn.serve_background()
             reborn_client = ServerClient(reborn.url)

@@ -2,7 +2,7 @@
 
 ``SemTreeServer.close`` promises that every
 request whose bytes arrived before shutdown completes fully — handler
-runs, response written back — before the app (engine, compactor, WAL) is
+runs, response written back — before the app (engine, WAL) is
 torn down and the shutdown checkpoint is cut.  These tests hold a request
 in flight with a latency fault and close the server under it, in-process
 and over a real SIGTERM to the CLI.
@@ -80,8 +80,7 @@ class TestSigtermDrain:
         base.build()
         root = tmp_path_factory.mktemp("drain")
         live = IngestingIndex(base, root / "wal.jsonl")
-        app = ServerApp(live, checkpoint_path=root / "snapshot.json",
-                        background_compaction=False)
+        app = ServerApp(live, checkpoint_path=root / "snapshot.json")
         server = SemTreeServer(app).serve_background()
         with ServerClient(server.url) as client:
             client.insert_many(INSERT_TRIPLES[:2])

@@ -1,8 +1,9 @@
 """The HTTP client speaks through ``repro.server.protocol``, not the stdlib's.
 
 ``http.client`` pulls in the ``email`` package's header parser, which costs
-more per response than a partition scan; neither the client nor the
-coordinator's shard transport may bring it back.
+more per response than a partition scan; neither the client, the
+coordinator's shard transport nor ``python -m repro.obs.top`` (which polls
+through the client) may bring it back.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def test_client_and_shard_transport_import_no_http_client():
-    script = ("import sys, repro.workloads, repro.coordinator.transport; "
+    script = ("import sys, repro.workloads, repro.coordinator.transport, repro.obs.top; "
               "print(sorted(name for name in ('http.client', 'email') "
               "if name in sys.modules))")
     env = {**os.environ, "PYTHONPATH": str(SRC)}

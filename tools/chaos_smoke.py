@@ -116,7 +116,7 @@ def stage_payloads(triples, seed: int) -> List[Tuple[str, Dict]]:
 def oracle_answers(index, tmp_dir: Path, workloads) -> List[List[List[float]]]:
     """Every stage workload answered by one in-process server (the oracle)."""
     live = IngestingIndex(index, tmp_dir / "oracle-wal.jsonl")
-    app = ServerApp(live, workers=2, background_compaction=False)
+    app = ServerApp(live, workers=2)
     answers = []
     with SemTreeServer(app).serve_background() as server:
         with ServerClient(server.url) as client:
