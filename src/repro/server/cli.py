@@ -38,10 +38,6 @@ def add_serving_options(parser: argparse.ArgumentParser) -> None:
                         help="query-engine worker threads")
     parser.add_argument("--cache-capacity", type=int, default=1024,
                         help="result-cache entries")
-    parser.add_argument("--cache-ttl", type=float, default=None,
-                        help="result-cache TTL in seconds (default: no expiry)")
-    parser.add_argument("--cache-segmented", action="store_true",
-                        help="use SLRU (probationary/protected) cache admission")
     parser.add_argument("--default-deadline", type=float, default=None,
                         help="per-query deadline in seconds applied when a request "
                              "carries none (default: wait for completion)")
@@ -58,9 +54,11 @@ def add_serving_options(parser: argparse.ArgumentParser) -> None:
                         help="run a continuous sampling profiler; read it back "
                              "at GET /v1/debug/profile")
     parser.add_argument("--max-queue-depth", type=int, default=None,
-                        help="admission control: reject queries with 503 + "
-                             "Retry-After once this many are outstanding in the "
-                             "engine (default: unbounded)")
+                        help="admission control: reject /v1/knn and /v1/range "
+                             "requests with 503 + Retry-After once this many "
+                             "searches are outstanding in the engine, or this "
+                             "many requests are already held by the transport's "
+                             "worker pool (default: unbounded)")
     parser.add_argument("--client-rate", type=float, default=None,
                         help="admission control: per-client (X-Client-Id header) "
                              "sustained queries/second (default: unlimited)")
@@ -99,8 +97,6 @@ def engine_options(args: argparse.Namespace) -> Dict[str, Any]:
     return {
         "workers": args.workers,
         "cache_capacity": args.cache_capacity,
-        "cache_ttl": args.cache_ttl,
-        "cache_segmented": args.cache_segmented,
         "default_deadline": args.default_deadline,
         "max_queue_depth": args.max_queue_depth,
         "client_rate": args.client_rate,

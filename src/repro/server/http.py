@@ -490,16 +490,19 @@ class SemTreeServer:
             return
 
         admission = self.app.admission
-        if (admission is not None and admission.enabled
-                and admission.max_queue_depth is not None
-                and self._pending >= admission.max_queue_depth):
+        if (admission is not None and admission.max_queue_depth is not None
+                and self._pending >= admission.max_queue_depth
+                and request.method == "POST"
+                and request.route in self.app.admitted_routes):
             # Enqueue-time shedding: the pool is already holding a full
-            # queue's worth of requests, so reject before paying for a
-            # submit + context switch (the app-level check would only shed
-            # it later, from a worker).
+            # queue's worth of requests, so reject a query before paying for
+            # a submit + context switch (the app-level check would only shed
+            # it later, from a worker).  Health, metrics, insert and debug
+            # requests are never queries and always get through.
             error = admission.shed_transport_overflow(pending=self._pending)
             self._queue_response(
-                conn, self.dispatcher.shed_response(error, conn.client), now)
+                conn, self.dispatcher.shed_response(error, request, conn.client),
+                now)
             return
 
         self._pending += 1

@@ -576,13 +576,15 @@ class Dispatcher:
         self.access_log("-", "-", 400, 0.0, client, trace_id)
         return response
 
-    def shed_response(self, error: Exception, client: str = "-") -> WireResponse:
+    def shed_response(self, error: Exception, request: ParsedRequest,
+                      client: str = "-") -> WireResponse:
         """The 503 for a request shed at enqueue time (transport overload)."""
         trace_id = Trace().trace_id
         response = self._json_response(
             status_for(error), error_body(error),
             retry_after=getattr(error, "retry_after", None), trace_id=trace_id)
-        self.access_log("-", "-", response.status, 0.0, client, trace_id)
+        self.access_log(request.method, request.route, response.status, 0.0,
+                        client, trace_id)
         return response
 
     def dispatch(self, request: ParsedRequest, client: str = "-") -> WireResponse:

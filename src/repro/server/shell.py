@@ -40,7 +40,6 @@ from typing import Any, Callable, Dict, List, Optional
 from repro import __version__
 from repro.errors import QueryError, ServerClosingError
 from repro.io.serialization import json_ready
-from repro.obs import export as obs_export
 from repro.obs import prometheus as obs_prometheus
 from repro.obs.history import MetricsHistory
 from repro.obs.logging import SlowQueryLog
@@ -81,9 +80,11 @@ class ServiceShell:
     #: ``repro_build_info`` label and the name the tier goes by in messages.
     role = "service"
 
-    #: The admission controller of an engine-backed tier; the transport
-    #: sheds at enqueue time when one is configured.
+    #: The admission controller of an engine-backed tier, and the POST routes
+    #: it admits; the transport sheds those (and only those) at enqueue time
+    #: when a queue depth is configured.
     admission: Optional[AdmissionController] = None
+    admitted_routes: frozenset = frozenset()
 
     def __init__(self, *, slow_query_ms: float | None = None,
                  profiler: SamplingProfiler | None = None):
@@ -92,7 +93,15 @@ class ServiceShell:
         self._closed = False
         self.slow_query_log = SlowQueryLog(slow_query_ms)
         self.registry = MetricsRegistry()
-        obs_export.bind_runtime(self.registry, role=self.role, version=__version__)
+        # ``repro_build_info`` carries role and version as labels with a
+        # constant 1: the conventional way to make build metadata joinable.
+        self.registry.gauge(
+            "repro_build_info", "Build and role metadata (constant 1).",
+            ("role", "version"),
+        ).labels(self.role, __version__).set(1.0)
+        self.registry.gauge(
+            "repro_uptime_seconds", "Seconds since the application booted.",
+        ).set_function(lambda: self.uptime_seconds)
         self._requests = self.registry.counter(
             "repro_http_requests_total", "HTTP requests received, by endpoint.",
             ("endpoint",))
@@ -251,7 +260,7 @@ class EngineShell(ServiceShell):
     index:
         What the engine searches (an ``IngestingIndex`` on a full server,
         a ``ShardedIndex`` on a coordinator).
-    workers / cache_capacity / cache_ttl / cache_segmented / default_deadline:
+    workers / cache_capacity / default_deadline:
         Passed through to :class:`QueryEngine`.
     max_queue_depth / client_rate / client_burst:
         Admission control (see :class:`AdmissionController`): bound on
@@ -261,8 +270,9 @@ class EngineShell(ServiceShell):
     Remaining keyword arguments are :class:`ServiceShell`'s.
     """
 
+    admitted_routes = frozenset({"/v1/knn", "/v1/range"})
+
     def __init__(self, index, *, workers: int = 4, cache_capacity: int = 1024,
-                 cache_ttl: float | None = None, cache_segmented: bool = False,
                  default_deadline: float | None = None,
                  max_queue_depth: int | None = None,
                  client_rate: float | None = None, client_burst: int = 10,
@@ -270,7 +280,6 @@ class EngineShell(ServiceShell):
         self.index = index
         self.engine = QueryEngine(
             index, workers=workers, cache_capacity=cache_capacity,
-            cache_ttl=cache_ttl, cache_segmented=cache_segmented,
             default_deadline=default_deadline,
         )
         self.admission = AdmissionController(
@@ -282,7 +291,7 @@ class EngineShell(ServiceShell):
     def _bind_registry(self) -> None:
         self.registry.adopt(self.engine.metrics.registry)
         self.registry.adopt(self.admission.registry)
-        obs_export.bind_cache(self.registry, self.engine.cache)
+        self.registry.adopt(self.engine.cache.registry)
         self.registry.gauge(
             "repro_engine_workers", "Query-engine worker threads.",
         ).set(float(self.engine.workers))

@@ -4,7 +4,7 @@ Turns the one-query-at-a-time index into a query-serving engine:
 
 * :mod:`repro.service.planner` — query specs, embedding-once normalisation,
   in-batch deduplication and cache keys;
-* :mod:`repro.service.cache` — LRU + TTL result cache with generation-based
+* :mod:`repro.service.cache` — LRU result cache with generation-based
   invalidation (stale answers are never served after incremental inserts);
 * :mod:`repro.service.engine` — concurrent batch execution over a thread
   pool, per-query deadlines, sequential-equivalence guarantee;

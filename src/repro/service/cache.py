@@ -1,53 +1,44 @@
-"""LRU + TTL result cache with generation-based invalidation.
+"""LRU result cache with generation-based invalidation.
 
 Entries are keyed on the planner's cache key (embedded coordinates + query
 parameters) and tagged with the index *generation* they were computed at
 (:attr:`repro.core.semtree.SemTreeIndex.generation`).  Every mutation of the
-built index bumps the generation, so a lookup that finds an entry from an
-older generation treats it as a miss and drops it — stale k-NN answers are
+built index bumps the generation, so a lookup that finds an entry from
+another generation treats it as a miss and drops it — stale k-NN answers are
 never served after incremental inserts, without the mutation path having to
 know which keys are affected.
 
-Eviction is twofold: least-recently-used beyond ``capacity``, and
-time-to-live expiry when a ``ttl`` is configured.  All operations are
-guarded by a lock so the cache can be shared by the engine's worker
-threads.
+Because an entry can only ever hit while it is exact, ``capacity`` is the one
+bound: beyond it the least-recently-used entry goes.  All operations are
+guarded by a lock so the cache can be shared by the engine's worker threads.
 
-Admission is plain LRU by default.  With ``segmented=True`` the cache runs
-the SLRU (segmented LRU) policy instead: new entries are admitted into a
-*probationary* segment and only promoted into the *protected* segment on
-their first hit; the protected segment demotes its LRU entry back to
-probation when full, and capacity evictions always take the probationary
-LRU first.  A one-pass scan of never-repeated queries therefore churns the
-probationary segment only — the working set in the protected segment
-survives, which plain LRU cannot guarantee.
+The counts live on instruments of the cache's own :attr:`ResultCache.registry`
+(a serving shell adopts it), each incremented where its event happens;
+:attr:`ResultCache.stats` reads them back.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Optional, Tuple
+from typing import Any, Hashable, Optional, Tuple
 
 from repro.errors import QueryError
+from repro.obs.registry import MetricsRegistry
 
 __all__ = ["CacheStats", "ResultCache"]
 
 
 @dataclass(frozen=True, slots=True)
 class CacheStats:
-    """Counters of one cache's lifetime (immutable snapshot)."""
+    """The cache's counts and size, read back at one moment."""
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    expirations: int = 0
     invalidations: int = 0
-    promotions: int = 0
     size: int = 0
-    protected_size: int = 0
 
     @property
     def lookups(self) -> int:
@@ -60,184 +51,89 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
     def to_dict(self) -> dict:
-        """Every counter plus the derived readings, snake_case.
+        """Every count plus the derived readings, snake_case.
 
-        This is the *single* dictionary form of the cache counters: both
+        This is the *single* dictionary form of the cache counts: both
         :meth:`repro.service.engine.QueryEngine.statistics` and the server's
-        ``/v1/metrics`` payload publish it verbatim, so the two can never
-        drift apart (they used to: the engine hand-picked a subset and
-        dropped ``protected_size``).
+        ``/v1/metrics`` payload publish it verbatim.
         """
-        payload = {field: getattr(self, field) for field in (
-            "hits", "misses", "evictions", "expirations", "invalidations",
-            "promotions", "size", "protected_size",
-        )}
-        payload["lookups"] = self.lookups
-        payload["hit_rate"] = self.hit_rate
-        return payload
-
-
-class _Entry:
-    __slots__ = ("value", "generation", "expires_at")
-
-    def __init__(self, value: Any, generation: int, expires_at: Optional[float]):
-        self.value = value
-        self.generation = generation
-        self.expires_at = expires_at
+        return {
+            "hits": self.hits, "misses": self.misses,
+            "evictions": self.evictions, "invalidations": self.invalidations,
+            "size": self.size, "lookups": self.lookups, "hit_rate": self.hit_rate,
+        }
 
 
 class ResultCache:
-    """A bounded, thread-safe result cache.
+    """A bounded, thread-safe LRU of values tagged with their generation."""
 
-    Parameters
-    ----------
-    capacity:
-        Maximum number of entries retained (across both segments when
-        segmented).
-    ttl:
-        Optional time-to-live in seconds; entries older than this are
-        expired lazily at lookup time.
-    clock:
-        Monotonic time source (injectable for tests).
-    segmented:
-        Turn on SLRU admission (probationary/protected segments).
-    protected_fraction:
-        Share of ``capacity`` the protected segment may hold (segmented
-        mode only).
-    """
-
-    def __init__(self, capacity: int = 1024, *, ttl: float | None = None,
-                 clock: Callable[[], float] = time.monotonic,
-                 segmented: bool = False, protected_fraction: float = 0.8):
+    def __init__(self, capacity: int = 1024):
         if capacity < 1:
             raise QueryError(f"cache capacity must be >= 1, got {capacity}")
-        if ttl is not None and ttl <= 0:
-            raise QueryError("the cache TTL must be a positive number of seconds")
-        if not 0.0 < protected_fraction < 1.0:
-            raise QueryError("protected_fraction must be strictly between 0 and 1")
         self.capacity = capacity
-        self.ttl = ttl
-        self.segmented = segmented
-        # At least one probationary slot must survive, or promoted entries
-        # fill the whole cache and every new admission evicts itself.  With
-        # capacity 1 the protected segment degenerates to nothing and the
-        # cache behaves as plain LRU.
-        self.protected_capacity = (
-            min(capacity - 1, max(1, round(capacity * protected_fraction)))
-            if segmented else 0
-        )
-        self._clock = clock
         self._lock = threading.Lock()
-        # Plain mode uses ``_entries`` alone; segmented mode uses it as the
-        # probationary segment with ``_protected`` above it.
-        self._entries: "OrderedDict[Tuple[Hashable, ...], _Entry]" = OrderedDict()
-        self._protected: "OrderedDict[Tuple[Hashable, ...], _Entry]" = OrderedDict()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._expirations = 0
-        self._invalidations = 0
-        self._promotions = 0
-
-    # -- lookups -----------------------------------------------------------------------
+        self._entries: "OrderedDict[Tuple[Hashable, ...], Tuple[int, Any]]" = OrderedDict()
+        self.registry = registry = MetricsRegistry()
+        self._hits = registry.counter(
+            "repro_cache_hits_total", "Result cache hits.").labels()
+        self._misses = registry.counter(
+            "repro_cache_misses_total", "Result cache misses.").labels()
+        self._evictions = registry.counter(
+            "repro_cache_evictions_total", "Result cache LRU evictions.").labels()
+        self._invalidations = registry.counter(
+            "repro_cache_invalidations_total",
+            "Result cache generation invalidations.").labels()
+        registry.gauge(
+            "repro_cache_size", "Entries currently resident in the result cache.",
+        ).set_function(lambda: float(len(self)))
 
     def get(self, key: Tuple[Hashable, ...], generation: int) -> Optional[Any]:
-        """Return the cached value, or ``None`` on miss/expiry/staleness.
+        """Return the cached value, or ``None`` on a miss.
 
-        ``generation`` is the index's current generation; entries written at
-        an older generation are dropped and counted as invalidations.
+        ``generation`` is the index's current generation; an entry written at
+        another generation is dropped and counted as an invalidation (and a
+        miss).
         """
         with self._lock:
-            segment = self._entries
-            entry = segment.get(key)
-            if entry is None and self.segmented:
-                segment = self._protected
-                entry = segment.get(key)
-            if entry is None:
-                self._misses += 1
-                return None
-            if entry.generation != generation:
-                del segment[key]
-                self._invalidations += 1
-                self._misses += 1
-                return None
-            if entry.expires_at is not None and self._clock() >= entry.expires_at:
-                del segment[key]
-                self._expirations += 1
-                self._misses += 1
-                return None
-            if segment is self._protected:
-                self._protected.move_to_end(key)
-            elif self.segmented:
-                self._promote(key, entry)
-            else:
+            entry = self._entries.get(key)
+            if entry is not None and entry[0] == generation:
                 self._entries.move_to_end(key)
-            self._hits += 1
-            return entry.value
-
-    def _promote(self, key: Tuple[Hashable, ...], entry: _Entry) -> None:
-        """First hit on a probationary entry: move it into the protected segment."""
-        del self._entries[key]
-        self._protected[key] = entry
-        self._promotions += 1
-        while len(self._protected) > self.protected_capacity:
-            demoted_key, demoted = self._protected.popitem(last=False)
-            # Demotion to probationary MRU, not eviction: the entry gets one
-            # more chance before the probationary LRU churn reaches it.
-            self._entries[demoted_key] = demoted
+                self._hits.inc()
+                return entry[1]
+            if entry is not None:
+                del self._entries[key]
+                self._invalidations.inc()
+            self._misses.inc()
+            return None
 
     def put(self, key: Tuple[Hashable, ...], value: Any, generation: int) -> None:
-        """Store a value computed at ``generation``.
-
-        In segmented mode a *new* key is admitted into the probationary
-        segment; updating a key that already earned protection refreshes it
-        in place.
-        """
-        expires_at = self._clock() + self.ttl if self.ttl is not None else None
-        entry = _Entry(value, generation, expires_at)
+        """Store a value computed at ``generation`` as the most recently used."""
         with self._lock:
-            if self.segmented and key in self._protected:
-                self._protected[key] = entry
-                self._protected.move_to_end(key)
-            else:
-                self._entries[key] = entry
-                self._entries.move_to_end(key)
-            while len(self._entries) + len(self._protected) > self.capacity:
-                victims = self._entries if self._entries else self._protected
-                victims.popitem(last=False)
-                self._evictions += 1
-
-    # -- maintenance -------------------------------------------------------------------
-
-    def clear(self) -> None:
-        """Drop every entry (counters are preserved)."""
-        with self._lock:
-            self._entries.clear()
-            self._protected.clear()
+            self._entries[key] = (generation, value)
+            self._entries.move_to_end(key)
+            if len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+                self._evictions.inc()
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries) + len(self._protected)
+            return len(self._entries)
 
     @property
     def stats(self) -> CacheStats:
-        """An immutable snapshot of the cache counters."""
+        """The counts and size, read under the cache lock (so consistent)."""
         with self._lock:
             return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                expirations=self._expirations,
-                invalidations=self._invalidations,
-                promotions=self._promotions,
-                size=len(self._entries) + len(self._protected),
-                protected_size=len(self._protected),
+                hits=self._hits.get(),
+                misses=self._misses.get(),
+                evictions=self._evictions.get(),
+                invalidations=self._invalidations.get(),
+                size=len(self._entries),
             )
 
     def __repr__(self) -> str:
         stats = self.stats
-        policy = "slru" if self.segmented else "lru"
         return (
-            f"ResultCache({policy}, size={stats.size}/{self.capacity}, "
+            f"ResultCache(size={stats.size}/{self.capacity}, "
             f"hits={stats.hits}, misses={stats.misses}, hit_rate={stats.hit_rate:.2f})"
         )

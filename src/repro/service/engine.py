@@ -133,30 +133,23 @@ class QueryEngine:
         The built index to serve (building it is the caller's job).
     workers:
         Worker-thread count for batch execution.
-    cache_capacity / cache_ttl / cache_segmented:
-        Result-cache sizing; ``cache_ttl`` in seconds (``None`` = no expiry);
-        ``cache_segmented`` turns on the probationary/protected admission
-        policy (see :class:`~repro.service.cache.ResultCache`).
+    cache_capacity:
+        Most entries the result cache holds (see
+        :class:`~repro.service.cache.ResultCache`).
     default_deadline:
         Per-query time budget in seconds applied when a spec carries none
         (``None`` = wait for completion).
-    metrics:
-        Optional externally-owned :class:`ServiceMetrics` (one is created
-        otherwise).
     """
 
     def __init__(self, index: ServableIndex, *, workers: int = 4,
-                 cache_capacity: int = 1024, cache_ttl: float | None = None,
-                 cache_segmented: bool = False,
-                 default_deadline: float | None = None,
-                 metrics: ServiceMetrics | None = None):
+                 cache_capacity: int = 1024,
+                 default_deadline: float | None = None):
         if workers < 1:
             raise QueryError(f"workers must be >= 1, got {workers}")
         self.index = index
         self.planner = QueryPlanner(index)
-        self.cache = ResultCache(cache_capacity, ttl=cache_ttl,
-                                 segmented=cache_segmented)
-        self.metrics = metrics or ServiceMetrics()
+        self.cache = ResultCache(cache_capacity)
+        self.metrics = ServiceMetrics()
         self.default_deadline = default_deadline
         self.workers = workers
         self._executor = ThreadPoolExecutor(

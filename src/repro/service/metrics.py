@@ -11,10 +11,10 @@ queries are in flight may show ``queries`` ahead of ``executed +
 served_from_cache`` by the in-flight count.
 
 Latency samples are additionally kept in a bounded deque (most recent
-``max_samples``) — a fixed-bucket histogram cannot reproduce a percentile —
-so a long-running service's metrics stay O(1) in memory; percentiles are
-therefore over the recent window, which is what a serving dashboard wants
-anyway.
+:data:`SERVING_SAMPLE_LIMIT`) — a fixed-bucket histogram cannot reproduce a
+percentile — so a long-running service's metrics stay O(1) in memory;
+percentiles are therefore over the recent window, which is what a serving
+dashboard wants anyway.
 """
 
 from __future__ import annotations
@@ -37,6 +37,9 @@ COST_HISTOGRAM_BUCKETS: Tuple[float, ...] = (
     1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0, 65536.0, 262144.0,
     1048576.0,
 )
+
+#: Latency and queue-wait samples retained for the ``*_ms`` percentile blocks.
+SERVING_SAMPLE_LIMIT = 10_000
 
 #: Compaction durations retained for the ``compaction_ms`` block.
 COMPACTION_SAMPLE_LIMIT = 1_000
@@ -87,15 +90,12 @@ def _latency_block(samples: list) -> Dict[str, float]:
 class ServiceMetrics:
     """Thread-safe accumulator of per-query serving observations."""
 
-    def __init__(self, *, max_samples: int = 10_000,
-                 clock: Callable[[], float] = time.monotonic):
-        if max_samples < 1:
-            raise EvaluationError("max_samples must be >= 1")
+    def __init__(self, *, clock: Callable[[], float] = time.monotonic):
         self._clock = clock
         self._lock = threading.Lock()
         self._started_at: Optional[float] = None
-        self._latencies: deque = deque(maxlen=max_samples)
-        self._queue_waits: deque = deque(maxlen=max_samples)
+        self._latencies: deque = deque(maxlen=SERVING_SAMPLE_LIMIT)
+        self._queue_waits: deque = deque(maxlen=SERVING_SAMPLE_LIMIT)
         self.registry = registry = MetricsRegistry()
         self._by_kind = registry.counter(
             "repro_queries_total", "Queries served, by query kind.", ("kind",))

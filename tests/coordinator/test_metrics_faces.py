@@ -85,14 +85,9 @@ ENGINE_FAMILIES = {
     "repro_cache_hits_total": ("counter", (), "Result cache hits.", None),
     "repro_cache_misses_total": ("counter", (), "Result cache misses.", None),
     "repro_cache_evictions_total": ("counter", (), "Result cache LRU evictions.", None),
-    "repro_cache_expirations_total": ("counter", (), "Result cache TTL expirations.", None),
     "repro_cache_invalidations_total": (
         "counter", (), "Result cache generation invalidations.", None),
-    "repro_cache_promotions_total": (
-        "counter", (), "Result cache promotions into the protected segment.", None),
     "repro_cache_size": ("gauge", (), "Entries currently resident in the result cache.", None),
-    "repro_cache_protected_size": (
-        "gauge", (), "Entries in the protected (frequently-hit) cache segment.", None),
     "repro_engine_workers": ("gauge", (), "Query-engine worker threads.", None),
 }
 

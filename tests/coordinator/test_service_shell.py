@@ -13,6 +13,7 @@ import threading
 
 import pytest
 
+from repro import __version__
 from repro.errors import ServerClosingError, ServerError
 from repro.obs.prometheus import parse_exposition
 from repro.server import SemTreeServer
@@ -49,6 +50,17 @@ def test_every_tier_answers_the_shell_routes(make_tier, role):
     # One JSON read and the second exposition scrape; the rejected format
     # is not a metrics request.
     assert after["metrics"] == before["metrics"] + 2
+
+
+@pytest.mark.parametrize("role", TIERS)
+def test_every_tier_reports_its_build_and_uptime(make_tier, role):
+    app = make_tier(role)
+    families = parse_exposition(app.registry.render())
+    (build,) = families["repro_build_info"].samples
+    assert build.labels == {"role": role, "version": __version__}
+    assert build.value == 1.0
+    (uptime,) = families["repro_uptime_seconds"].samples
+    assert 0.0 <= uptime.value <= app.uptime_seconds
 
 
 @pytest.mark.parametrize("role", TIERS)

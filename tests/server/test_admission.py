@@ -8,12 +8,13 @@ header the client surfaces on :class:`ServerError`.
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 
 import pytest
 
-from server_corpus import QUERY_TRIPLES
+from server_corpus import INSERT_TRIPLES, QUERY_TRIPLES
 from repro.errors import AdmissionError, QueryError, ServerError
 from repro.faults import FaultPlan, FaultSpec
 from repro.service.admission import (
@@ -200,6 +201,34 @@ class TestAdmissionOverHttp:
         error = excinfo.value
         assert error.status == 503 and error.kind == "AdmissionError"
         assert error.retry_after is not None and error.retry_after >= 1.0
+        assert 'repro_requests_shed_total{reason="queue_full"} 1' in \
+            client.metrics_prometheus().splitlines()
+
+    def test_enqueue_shed_spares_every_route_but_the_queries(self, make_server,
+                                                             caplog):
+        plan = FaultPlan([FaultSpec(operation="handle", target="/v1/knn",
+                                    kind="latency", latency=2.0, max_fires=1)])
+        server, client = make_server(max_queue_depth=1,
+                                     server_kwargs={"fault_plan": plan})
+        parked = threading.Thread(target=client.knn, args=(QUERY_TRIPLES[0], 3))
+        parked.start()
+        deadline = time.monotonic() + 5.0
+        while plan.fired() == 0 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert plan.fired() == 1, "the first request is parked in its handler"
+        with caplog.at_level(logging.INFO, logger="repro.access"):
+            assert client.health()["status"] == "ok"
+            assert client.metrics()["server"]["admission"]["shed"] == {}
+            assert "seq" in client.insert(INSERT_TRIPLES[0])
+            with pytest.raises(ServerError) as excinfo:
+                client.range(QUERY_TRIPLES[1], 0.2)
+        parked.join(10.0)
+        assert not parked.is_alive()
+        assert excinfo.value.status == 503
+        shed = [record for record in caplog.records
+                if record.name == "repro.access" and record.status == 503]
+        assert [(record.method, record.path) for record in shed] == \
+            [("POST", "/v1/range")]
         assert 'repro_requests_shed_total{reason="queue_full"} 1' in \
             client.metrics_prometheus().splitlines()
 

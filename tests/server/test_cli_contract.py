@@ -2,8 +2,8 @@
 
 Both CLIs declare the transport / engine / observability / admission flags
 through one option group; what the benchmark harness and the launcher
-reach for (parser defaults, the removed transport switch staying removed)
-is pinned here.
+reach for (parser defaults, the removed transport and result-cache policy
+switches staying removed) is pinned here.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ PARSERS = {
 
 SHARED_FLAGS = [
     "--host", "--port", "--idle-timeout", "--transport-workers", "--workers",
-    "--cache-capacity", "--cache-ttl", "--cache-segmented",
-    "--default-deadline", "--actors", "--slow-query-ms", "--profile",
+    "--cache-capacity", "--default-deadline", "--actors", "--slow-query-ms", "--profile",
     "--max-queue-depth", "--client-rate", "--client-burst", "--faults",
     "--quiet",
 ]
@@ -40,6 +39,14 @@ class TestSharedOptionGroup:
         build, required = PARSERS[cli]
         with pytest.raises(SystemExit) as excinfo:
             build().parse_args(required + ["--transport", "threaded"])
+        assert excinfo.value.code == 2
+        capsys.readouterr()  # argparse's usage message
+
+    @pytest.mark.parametrize("removed", [["--cache-ttl", "5"], ["--cache-segmented"]])
+    def test_result_cache_policy_flags_are_gone(self, cli, removed, capsys):
+        build, required = PARSERS[cli]
+        with pytest.raises(SystemExit) as excinfo:
+            build().parse_args(required + removed)
         assert excinfo.value.code == 2
         capsys.readouterr()  # argparse's usage message
 

@@ -24,8 +24,8 @@ SERVING_KEYS = {
 }
 LATENCY_KEYS = {"mean", "p50", "p90", "p99", "max"}
 CACHE_KEYS = {
-    "hits", "misses", "lookups", "hit_rate", "evictions", "expirations",
-    "invalidations", "promotions", "size", "protected_size",
+    "hits", "misses", "lookups", "hit_rate", "evictions", "invalidations",
+    "size",
 }
 INGEST_KEYS = {
     "inserts", "replayed", "wall_seconds", "qps", "compactions",
@@ -107,7 +107,7 @@ class TestMetricsSchema:
         wire = client.metrics()["cache"]
         direct = server.app.engine.statistics()["cache"]
         assert set(wire) == set(direct)
-        for key in ("hits", "misses", "lookups", "size", "protected_size"):
+        for key in ("hits", "misses", "lookups", "size"):
             assert wire[key] == direct[key]
 
 

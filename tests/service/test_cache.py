@@ -1,20 +1,14 @@
-"""Tests for the LRU + TTL result cache and its generation-based invalidation."""
+"""Tests for the LRU result cache and its generation-based invalidation."""
+
+import random
+import sys
+import threading
 
 import pytest
 
 from repro.errors import QueryError
+from repro.obs.prometheus import parse_exposition
 from repro.service import ResultCache
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
 
 
 class TestBasics:
@@ -30,16 +24,15 @@ class TestBasics:
     def test_invalid_capacity_rejected(self):
         with pytest.raises(QueryError):
             ResultCache(capacity=0)
-        with pytest.raises(QueryError):
-            ResultCache(ttl=-1.0)
 
-    def test_clear_keeps_counters(self):
-        cache = ResultCache(capacity=4)
-        cache.put(("a",), 1, generation=0)
-        cache.get(("a",), generation=0)
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.stats.hits == 1
+    def test_size_gauge_reads_the_live_entry_count(self):
+        cache = ResultCache(capacity=2)
+        (size,) = [family for family in cache.registry.collect()
+                   if family.name == "repro_cache_size"]
+        assert size.values() == {(): 0.0}
+        for index in range(3):
+            cache.put((index,), index, generation=0)
+        assert size.values() == {(): 2.0}
 
 
 class TestLru:
@@ -54,24 +47,33 @@ class TestLru:
         assert cache.get(("c",), generation=0) == 3
         assert cache.stats.evictions == 1
 
-
-class TestTtl:
-    def test_entries_expire(self):
-        clock = FakeClock()
-        cache = ResultCache(capacity=4, ttl=10.0, clock=clock)
+    def test_updating_a_key_refreshes_it_without_an_eviction(self):
+        cache = ResultCache(capacity=2)
         cache.put(("a",), 1, generation=0)
-        clock.advance(9.9)
-        assert cache.get(("a",), generation=0) == 1
-        clock.advance(0.2)
-        assert cache.get(("a",), generation=0) is None
-        assert cache.stats.expirations == 1
+        cache.put(("b",), 2, generation=0)
+        cache.put(("a",), 10, generation=0)  # update: "a" is now the newest
+        cache.put(("c",), 3, generation=0)   # evicts "b", not "a"
+        assert cache.get(("a",), generation=0) == 10
+        assert cache.get(("b",), generation=0) is None
+        assert cache.stats.evictions == 1
 
-    def test_no_ttl_means_no_expiry(self):
-        clock = FakeClock()
-        cache = ResultCache(capacity=4, clock=clock)
+    def test_a_one_pass_scan_evicts_a_hit_entry(self):
+        cache = ResultCache(capacity=4)
+        cache.put(("hot",), 1, generation=0)
+        cache.get(("hot",), generation=0)
+        for index in range(4):
+            cache.put((f"scan{index}",), index, generation=0)
+        assert cache.get(("hot",), generation=0) is None
+        assert len(cache) == 4
+
+    def test_capacity_one_keeps_the_latest_entry(self):
+        cache = ResultCache(capacity=1)
         cache.put(("a",), 1, generation=0)
-        clock.advance(1e9)
         assert cache.get(("a",), generation=0) == 1
+        cache.put(("b",), 2, generation=0)
+        assert cache.get(("b",), generation=0) == 2
+        assert len(cache) == 1
+        assert cache.stats.evictions == 1
 
 
 class TestGenerationInvalidation:
@@ -90,103 +92,56 @@ class TestGenerationInvalidation:
         assert cache.get(("a",), generation=7) == "value"
         assert cache.stats.invalidations == 0
 
+    def test_an_entry_from_another_generation_is_dropped_either_way(self):
+        # A lookup that read an older generation than the writer's (a
+        # compaction raced it) cannot use the entry, and drops it too.
+        cache = ResultCache(capacity=4)
+        cache.put(("a",), "newer", generation=5)
+        assert cache.get(("a",), generation=4) is None
+        assert len(cache) == 0
+        assert (cache.stats.invalidations, cache.stats.misses) == (1, 1)
 
-class TestSegmentedAdmission:
-    """SLRU: probationary admission, promotion on hit, scan resistance."""
 
-    def test_first_hit_promotes_into_the_protected_segment(self):
-        cache = ResultCache(capacity=4, segmented=True)
-        cache.put(("a",), 1, generation=0)
-        assert cache.stats.protected_size == 0
-        cache.get(("a",), generation=0)
-        stats = cache.stats
-        assert stats.promotions == 1
-        assert stats.protected_size == 1
+def test_concurrent_counts_are_not_lost():
+    """8 threads of get/put at one generation: every count exact, on both faces.
 
-    def test_one_pass_scan_cannot_evict_the_hot_set(self):
-        cache = ResultCache(capacity=4, segmented=True, protected_fraction=0.5)
-        cache.put(("hot1",), 1, generation=0)
-        cache.put(("hot2",), 2, generation=0)
-        cache.get(("hot1",), generation=0)  # promoted
-        cache.get(("hot2",), generation=0)  # promoted
-        for index in range(20):             # a long one-hit-wonder scan
-            cache.put((f"scan{index}",), index, generation=0)
-        assert cache.get(("hot1",), generation=0) == 1
-        assert cache.get(("hot2",), generation=0) == 2
-        assert cache.stats.evictions >= 18
+    Every put stores a key no thread stored before, so each adds one entry
+    and the evictions are exactly the puts the cache no longer holds.
+    """
+    cache = ResultCache(capacity=16)
+    threads_, rounds = 8, 1_500
 
-    def test_plain_lru_is_scanned_out_for_contrast(self):
-        cache = ResultCache(capacity=4, segmented=False)
-        cache.put(("hot",), 1, generation=0)
-        cache.get(("hot",), generation=0)
-        for index in range(4):
-            cache.put((f"scan{index}",), index, generation=0)
-        assert cache.get(("hot",), generation=0) is None
+    def worker(seed):
+        rng = random.Random(seed)
+        for step in range(rounds):
+            cache.put((seed, step), step, 0)
+            # A recent key of this thread's: a hit unless the others evicted it.
+            cache.get((seed, step - rng.randrange(8)), 0)
 
-    def test_protected_overflow_demotes_not_evicts(self):
-        cache = ResultCache(capacity=4, segmented=True, protected_fraction=0.3)
-        # protected capacity is max(1, round(4 * 0.3)) == 1
-        cache.put(("a",), 1, generation=0)
-        cache.put(("b",), 2, generation=0)
-        cache.get(("a",), generation=0)   # a -> protected
-        cache.get(("b",), generation=0)   # b -> protected, a demoted back
-        stats = cache.stats
-        assert stats.protected_size == 1
-        assert stats.evictions == 0
-        assert cache.get(("a",), generation=0) == 1  # survived as probationary
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=worker, args=(seed,))
+                   for seed in range(threads_)]
+        for thread in workers:
+            thread.start()
+        for thread in workers:
+            thread.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in workers)
 
-    def test_update_of_a_protected_key_stays_protected(self):
-        cache = ResultCache(capacity=4, segmented=True)
-        cache.put(("a",), 1, generation=0)
-        cache.get(("a",), generation=0)
-        cache.put(("a",), 99, generation=0)
-        stats = cache.stats
-        assert stats.protected_size == 1
-        assert cache.get(("a",), generation=0) == 99
-
-    def test_generation_invalidation_reaches_the_protected_segment(self):
-        cache = ResultCache(capacity=4, segmented=True)
-        cache.put(("a",), 1, generation=0)
-        cache.get(("a",), generation=0)
-        assert cache.get(("a",), generation=1) is None
-        assert cache.stats.invalidations == 1
-        assert cache.stats.protected_size == 0
-
-    def test_capacity_bound_spans_both_segments(self):
-        cache = ResultCache(capacity=3, segmented=True, protected_fraction=0.5)
-        for index in range(3):
-            cache.put((f"k{index}",), index, generation=0)
-            cache.get((f"k{index}",), generation=0)
-        cache.put(("k3",), 3, generation=0)
-        assert len(cache) == 3
-
-    def test_invalid_protected_fraction_rejected(self):
-        with pytest.raises(QueryError):
-            ResultCache(capacity=4, segmented=True, protected_fraction=0.0)
-        with pytest.raises(QueryError):
-            ResultCache(capacity=4, segmented=True, protected_fraction=1.0)
-
-    def test_eviction_counter_is_exposed(self):
-        cache = ResultCache(capacity=2, segmented=True)
-        for index in range(5):
-            cache.put((f"k{index}",), index, generation=0)
-        assert cache.stats.evictions == 3
-
-    def test_small_segmented_cache_still_admits_new_keys(self):
-        """Regression: the protected segment must never swallow the whole
-        capacity, or every new admission would evict itself immediately."""
-        cache = ResultCache(capacity=2, segmented=True)  # default fraction 0.8
-        cache.put(("a",), 1, generation=0)
-        cache.get(("a",), generation=0)  # a -> protected
-        cache.put(("b",), 2, generation=0)
-        assert cache.get(("b",), generation=0) == 2
-        cache.put(("c",), 3, generation=0)
-        assert cache.get(("c",), generation=0) == 3
-
-    def test_capacity_one_segmented_degenerates_to_lru(self):
-        cache = ResultCache(capacity=1, segmented=True)
-        cache.put(("a",), 1, generation=0)
-        assert cache.get(("a",), generation=0) == 1
-        cache.put(("b",), 2, generation=0)
-        assert cache.get(("b",), generation=0) == 2
-        assert len(cache) == 1
+    stats = cache.stats
+    assert stats.hits + stats.misses == threads_ * rounds
+    assert stats.hits and stats.misses
+    assert stats.invalidations == 0
+    assert stats.evictions == threads_ * rounds - len(cache)
+    exposition = {name: family.samples[0].value
+                  for name, family in parse_exposition(cache.registry.render()).items()}
+    assert exposition == {
+        "repro_cache_hits_total": stats.hits,
+        "repro_cache_misses_total": stats.misses,
+        "repro_cache_evictions_total": stats.evictions,
+        "repro_cache_invalidations_total": stats.invalidations,
+        "repro_cache_size": stats.size,
+    }

@@ -9,6 +9,7 @@ from repro.core.cost import SearchCost
 from repro.errors import EvaluationError
 from repro.obs.prometheus import parse_exposition
 from repro.service import ServiceMetrics, percentile
+from repro.service.metrics import SERVING_SAMPLE_LIMIT
 
 
 class FakeClock:
@@ -106,12 +107,16 @@ class TestServiceMetrics:
         assert latency_ms["p99"] <= latency_ms["max"]
 
     def test_bounded_samples(self):
-        metrics = ServiceMetrics(max_samples=10)
-        for index in range(100):
+        metrics = ServiceMetrics()
+        total = SERVING_SAMPLE_LIMIT + 100
+        for index in range(total):
             metrics.record("knn", float(index), cached=False)
-        # only the most recent 10 samples feed the percentiles
-        assert metrics.snapshot()["latency_ms"]["p50"] >= 90_000
-        assert metrics.queries == 100
+        # only the most recent SERVING_SAMPLE_LIMIT samples (100 .. total - 1)
+        # feed the percentiles
+        latency_ms = metrics.snapshot()["latency_ms"]
+        assert latency_ms["mean"] == pytest.approx((100 + total - 1) / 2 * 1000.0)
+        assert latency_ms["max"] == pytest.approx((total - 1) * 1000.0)
+        assert metrics.queries == total
 
     def test_empty_snapshot_has_no_latency_block(self):
         snapshot = ServiceMetrics().snapshot()

@@ -83,9 +83,7 @@ _ENGINE_FACES = [
     ("cache.hits", "repro_cache_hits_total", None),
     ("cache.misses", "repro_cache_misses_total", None),
     ("cache.evictions", "repro_cache_evictions_total", None),
-    ("cache.expirations", "repro_cache_expirations_total", None),
     ("cache.invalidations", "repro_cache_invalidations_total", None),
-    ("cache.promotions", "repro_cache_promotions_total", None),
 ]
 
 
