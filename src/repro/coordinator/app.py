@@ -4,7 +4,7 @@
 :class:`~repro.server.app.ServerApp`: the same query endpoints
 (``POST /v1/knn`` / ``/v1/range``, single and batched, with the same wire
 schemas), served by the same :class:`~repro.service.engine.QueryEngine` —
-batching, result cache, deadlines and serving metrics work unchanged —
+batches, result cache, deadlines and serving metrics work unchanged —
 except the engine searches a :class:`~repro.coordinator.sharded.ShardedIndex`
 that fans every tree scan out to shard servers.
 
@@ -35,9 +35,11 @@ class CoordinatorApp(EngineShell):
         The :class:`~repro.coordinator.sharded.ShardedIndex` to serve.
 
     Remaining keyword arguments are :class:`~repro.server.shell.EngineShell`'s,
-    with the same semantics as on a full server (engine worker threads here
-    issue scatters; the scatter pool inside the sharded index bounds the
-    total scan concurrency, and admission bounds outstanding scatters).
+    with the same semantics as on a full server.  Each query scatters from
+    the thread that serves its request, and ``workers`` bounds how many
+    scatter at once; a batch scatters one query after another.  The scatter
+    pool inside the sharded index bounds the total scan concurrency, and
+    admission bounds outstanding scatters.
     """
 
     role = "coordinator"
@@ -126,8 +128,8 @@ class CoordinatorApp(EngineShell):
     # -- lifecycle ----------------------------------------------------------------------
 
     def _teardown(self, checkpoint: Optional[bool]) -> None:
-        """Drain the engine, shut the scatter pool down."""
-        self.engine.close(wait=True)
+        """Close the engine, shut the scatter pool down."""
+        self.engine.close()
         self.index.close()
 
     def __repr__(self) -> str:

@@ -35,7 +35,6 @@ import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro.cluster.cluster import SimulatedCluster
 from repro.core.point import LabeledPoint
 from repro.core.semtree import SearchOutcome, SemanticMatch, SemTreeIndex
 from repro.errors import IndexError_
@@ -70,8 +69,6 @@ class IngestingIndex:
         when the WAL is non-empty.
     compaction_threshold:
         Delta size at which :meth:`maybe_compact` folds.
-    metrics:
-        Optional externally-owned :class:`IngestMetrics`.
     vocabulary_hints:
         Optional ``{"actors": [...], "parameters": {prefix: [...]}}``
         description of the vocabularies the semantic distance was built
@@ -83,7 +80,6 @@ class IngestingIndex:
     def __init__(self, base: SemTreeIndex, wal: WriteAheadLog | str | pathlib.Path, *,
                  applied_seq: int = 0,
                  compaction_threshold: int = DEFAULT_COMPACTION_THRESHOLD,
-                 metrics: IngestMetrics | None = None,
                  vocabulary_hints: Optional[Dict[str, object]] = None):
         if not base.is_built:
             raise IndexError_("an IngestingIndex needs a built base index")
@@ -95,15 +91,15 @@ class IngestingIndex:
         self.wal = wal if isinstance(wal, WriteAheadLog) else WriteAheadLog(wal)
         self.compaction_threshold = compaction_threshold
         self.vocabulary_hints = vocabulary_hints
-        self.metrics = metrics or IngestMetrics()
+        self.metrics = IngestMetrics()
         self.delta = DeltaIndex(scan_kernel=base.config.scan_kernel)
         self._lock = ReadWriteLock()
         # Serialises WAL-append + delta-add so delta order equals sequence
         # order and a drain always covers a gapless prefix of the stream.
         self._insert_lock = threading.Lock()
         # Embedding exercises the semantic-distance memo caches, which are
-        # plain dicts; one lock keeps inserter threads and the engine's
-        # planning thread from racing in them.
+        # plain dicts; one lock keeps inserter threads and the threads
+        # planning queries from racing in them.
         self._embed_lock = threading.Lock()
         # One threshold fold at a time (see maybe_compact).
         self._fold_lock = threading.Lock()
@@ -123,9 +119,7 @@ class IngestingIndex:
     @classmethod
     def recover(cls, snapshot_path: str | pathlib.Path,
                 wal_path: str | pathlib.Path, distance: TripleDistance, *,
-                cluster: SimulatedCluster | None = None,
-                compaction_threshold: int = DEFAULT_COMPACTION_THRESHOLD,
-                metrics: IngestMetrics | None = None) -> "IngestingIndex":
+                compaction_threshold: int = DEFAULT_COMPACTION_THRESHOLD) -> "IngestingIndex":
         """Restore an ingesting index from a checkpoint snapshot + WAL tail.
 
         The snapshot rebuilds the tree exactly as checkpointed; every WAL
@@ -134,9 +128,9 @@ class IngestingIndex:
         process that died.
         """
         payload = read_snapshot_payload(snapshot_path)
-        base = load_index_payload(payload, distance, cluster=cluster)
+        base = load_index_payload(payload, distance)
         return cls(base, wal_path, applied_seq=int(payload.get("wal_seq", 0)),
-                   compaction_threshold=compaction_threshold, metrics=metrics)
+                   compaction_threshold=compaction_threshold)
 
     def _apply_record(self, record: WalRecord) -> None:
         point = self._project(record.triple)

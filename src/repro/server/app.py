@@ -2,13 +2,14 @@
 
 :class:`ServerApp` owns the serving stack of one process — an
 :class:`~repro.ingest.ingesting.IngestingIndex` (write-ahead log + delta
-segment) and a :class:`~repro.service.engine.QueryEngine` (batching, result
-cache, deadlines).  Queries, observability endpoints and the lifecycle come
-from :class:`~repro.server.shell.EngineShell`; this module adds what only a
-full server has: the write endpoint (whose request folds the delta when it
-crosses the compaction threshold), ``/v1/index``, the ``ingest`` /
-``index`` metrics sections, the wire-cache epoch and the shutdown
-checkpoint.
+segment) and a :class:`~repro.service.engine.QueryEngine` (result cache,
+search slots, deadlines), which serves each query on the transport worker
+that handles its request.  Queries, observability endpoints and the
+lifecycle come from :class:`~repro.server.shell.EngineShell`; this module
+adds what only a full server has: the write endpoint (whose request folds
+the delta when it crosses the compaction threshold), ``/v1/index``, the
+``ingest`` / ``index`` metrics sections, the wire-cache epoch and the
+shutdown checkpoint.
 
 The unified metrics payload
 ---------------------------
@@ -83,6 +84,9 @@ class ServerApp(EngineShell):
             )
         self._idempotency_lock = threading.Lock()
         self._idempotency: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+        # Keys whose request is applying its batch right now; a concurrent
+        # request with the same key waits on the event.
+        self._claims: Dict[str, threading.Event] = {}
         self.checkpoint_path = (
             pathlib.Path(checkpoint_path) if checkpoint_path is not None else None
         )
@@ -142,17 +146,57 @@ class ServerApp(EngineShell):
         ``"deduplicated": true``) instead of applying the batch again.
         That is what lets the HTTP client retry an insert whose first
         attempt died on a stale keep-alive socket *after* the server may
-        already have applied it.
+        already have applied it.  A request whose key is still being
+        applied by another waits for it, then replays its response.
         """
         self._check_open()
         self._count("insert")
         idempotency_key = current_context().idempotency_key
-        if idempotency_key is not None:
+        if idempotency_key is None:
+            response = self._apply_inserts(body)
+        else:
+            replay = self._claim(idempotency_key)
+            if replay is not None:
+                return {**replay, "deduplicated": True}
+            try:
+                response = self._apply_inserts(body)
+                # Remember only fully applied batches: a partial failure must
+                # surface on the retry too, not replay as a success.
+                with self._idempotency_lock:
+                    self._idempotency[idempotency_key] = response
+                    while len(self._idempotency) > IDEMPOTENCY_CACHE_LIMIT:
+                        self._idempotency.popitem(last=False)
+            finally:
+                with self._idempotency_lock:
+                    self._claims.pop(idempotency_key).set()
+        # The request that crossed the threshold folds, outside every index
+        # lock and after the batch is recorded: a failed fold must not turn
+        # a keyed retry into a second application.
+        if self.index.maybe_compact() and "delta_points" in response:
+            response["delta_points"] = len(self.index.delta)
+        return response
+
+    def _claim(self, key: str) -> Optional[Dict[str, Any]]:
+        """Claim ``key`` for this request, or return the response it recorded.
+
+        While another request holds the claim, wait for it to finish: if it
+        recorded a response, that is the replay; if it failed, nothing was
+        recorded, and this request claims the key and applies the batch.
+        """
+        while True:
             with self._idempotency_lock:
-                replay = self._idempotency.get(idempotency_key)
+                replay = self._idempotency.get(key)
                 if replay is not None:
-                    self._idempotency.move_to_end(idempotency_key)
-                    return {**replay, "deduplicated": True}
+                    self._idempotency.move_to_end(key)
+                    return replay
+                holder = self._claims.get(key)
+                if holder is None:
+                    self._claims[key] = threading.Event()
+                    return None
+            holder.wait()
+
+    def _apply_inserts(self, body: Any) -> Dict[str, Any]:
+        """Parse and apply one insert body; the response to send for it."""
         inserts, batched = parse_insert_request(body)
         sequences: list = []
         try:
@@ -170,26 +214,12 @@ class ServerApp(EngineShell):
                 ) from error
             raise
         if batched:
-            response = {
+            return {
                 "accepted": len(sequences),
                 "first_seq": sequences[0],
                 "last_seq": sequences[-1],
             }
-        else:
-            response = {"seq": sequences[0], "delta_points": len(self.index.delta)}
-        if idempotency_key is not None:
-            # Remember only fully applied batches: a partial failure must
-            # surface on the retry too, not replay as a success.
-            with self._idempotency_lock:
-                self._idempotency[idempotency_key] = response
-                while len(self._idempotency) > IDEMPOTENCY_CACHE_LIMIT:
-                    self._idempotency.popitem(last=False)
-        # The request that crossed the threshold folds, outside every index
-        # lock and after the batch is recorded: a failed fold must not turn
-        # a keyed retry into a second application.
-        if self.index.maybe_compact() and not batched:
-            response["delta_points"] = len(self.index.delta)
-        return response
+        return {"seq": sequences[0], "delta_points": len(self.index.delta)}
 
     # -- observability endpoints --------------------------------------------------------
 
@@ -253,7 +283,7 @@ class ServerApp(EngineShell):
     # -- lifecycle ----------------------------------------------------------------------
 
     def close(self, *, checkpoint: bool | None = None) -> Optional[int]:
-        """Graceful shutdown: drain workers, checkpoint, close the WAL.
+        """Graceful shutdown: close the engine, checkpoint, close the WAL.
 
         ``checkpoint`` defaults to "yes iff a ``checkpoint_path`` was
         configured".  Returns the checkpointed ``wal_seq`` (``None`` when no
@@ -269,7 +299,7 @@ class ServerApp(EngineShell):
         return super().close(checkpoint=checkpoint)
 
     def _teardown(self, checkpoint: bool | None) -> Optional[int]:
-        self.engine.close(wait=True)
+        self.engine.close()
         wal_seq: Optional[int] = None
         if checkpoint:
             wal_seq = self.index.checkpoint(self.checkpoint_path)

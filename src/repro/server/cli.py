@@ -35,7 +35,8 @@ def add_serving_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--transport-workers", type=int, default=8,
                         help="dispatch worker threads")
     parser.add_argument("--workers", type=int, default=4,
-                        help="query-engine worker threads")
+                        help="most searches the query engine runs at once "
+                             "(queries past it wait for a slot)")
     parser.add_argument("--cache-capacity", type=int, default=1024,
                         help="result-cache entries")
     parser.add_argument("--default-deadline", type=float, default=None,
@@ -109,8 +110,8 @@ def bind_server(app, args: argparse.Namespace, fault_plan: Optional[FaultPlan],
                 *, wire_cache: bool = False) -> SemTreeServer:
     """Bind ``app`` to the address and transport sizing the flags chose."""
     return SemTreeServer(
-        app, host=args.host, port=args.port, quiet=args.quiet,
-        fault_plan=fault_plan, idle_timeout=args.idle_timeout,
+        app, host=args.host, port=args.port, fault_plan=fault_plan,
+        idle_timeout=args.idle_timeout,
         transport_workers=args.transport_workers, wire_cache=wire_cache,
     )
 

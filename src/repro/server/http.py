@@ -128,9 +128,6 @@ class SemTreeServer:
     host / port:
         Bind address; ``port=0`` picks an ephemeral port (read it back from
         :attr:`bound_port` — this is what the tests and benchmarks do).
-    quiet:
-        Reserved for transport chatter (the structured access log on
-        ``repro.access`` is always emitted; see :mod:`repro.obs.logging`).
     request_timeout:
         Seconds a request may take to *frame* (first byte to last), however
         steadily its bytes drip in.
@@ -142,9 +139,9 @@ class SemTreeServer:
         Optional fault-injection plan for chaos runs (defaults to whatever
         ``$REPRO_FAULTS`` carries, usually nothing); see :mod:`repro.faults`.
     transport_workers:
-        Size of the worker pool that runs the app (the engine below has
-        its own pool; these workers parse JSON, execute handlers and
-        serialise responses).
+        Size of the worker pool that runs the app: these workers parse
+        JSON, execute handlers (the engine searches on them) and serialise
+        responses.
     wire_cache:
         Enable the loop-side response byte cache (see the module
         docstring) for the app's ``wire_cacheable_routes()`` — only a full
@@ -155,7 +152,7 @@ class SemTreeServer:
     """
 
     def __init__(self, app, *, host: str = "127.0.0.1", port: int = 0,
-                 quiet: bool = True, request_timeout: float = 30.0,
+                 request_timeout: float = 30.0,
                  idle_timeout: Optional[float] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  transport_workers: int = 8,
@@ -163,12 +160,11 @@ class SemTreeServer:
         if fault_plan is None:
             fault_plan = FaultPlan.from_env()
         self.app = app
-        self.quiet = quiet
         self.fault_plan = fault_plan
         self.request_timeout = request_timeout
         self.idle_timeout = request_timeout if idle_timeout is None else idle_timeout
         self.draining = False
-        self.dispatcher = Dispatcher(app, quiet=quiet, fault_plan=fault_plan,
+        self.dispatcher = Dispatcher(app, fault_plan=fault_plan,
                                      record_wire_bytes=self.record_wire_bytes)
 
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)

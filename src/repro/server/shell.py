@@ -261,7 +261,9 @@ class EngineShell(ServiceShell):
         What the engine searches (an ``IngestingIndex`` on a full server,
         a ``ShardedIndex`` on a coordinator).
     workers / cache_capacity / default_deadline:
-        Passed through to :class:`QueryEngine`.
+        Passed through to :class:`QueryEngine`, which serves each query on
+        the thread that calls the handler; ``workers`` bounds how many
+        searches run at once.
     max_queue_depth / client_rate / client_burst:
         Admission control (see :class:`AdmissionController`): bound on
         outstanding searches, and per-``X-Client-Id`` token-bucket rate
@@ -293,7 +295,7 @@ class EngineShell(ServiceShell):
         self.registry.adopt(self.admission.registry)
         self.registry.adopt(self.engine.cache.registry)
         self.registry.gauge(
-            "repro_engine_workers", "Query-engine worker threads.",
+            "repro_engine_workers", "Most searches the query engine runs at once.",
         ).set(float(self.engine.workers))
 
     def post_routes(self) -> Dict[str, Callable[[Any], Any]]:
@@ -316,7 +318,7 @@ class EngineShell(ServiceShell):
             specs, batched = parse_query_request(body, kind)
         if self.admission.enabled:
             # After parsing (a malformed body should stay 400), before any
-            # engine work: a shed request must not consume a worker.
+            # engine work: a shed request must not take a search slot.
             self.admission.admit(
                 queries=len(specs),
                 deadline=_strictest_deadline(specs, self.engine.default_deadline),

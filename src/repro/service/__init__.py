@@ -2,12 +2,13 @@
 
 Turns the one-query-at-a-time index into a query-serving engine:
 
-* :mod:`repro.service.planner` — query specs, embedding-once normalisation,
-  in-batch deduplication and cache keys;
+* :mod:`repro.service.planner` — query specs, embedding-once normalisation
+  and cache keys;
 * :mod:`repro.service.cache` — LRU result cache with generation-based
   invalidation (stale answers are never served after incremental inserts);
-* :mod:`repro.service.engine` — concurrent batch execution over a thread
-  pool, per-query deadlines, sequential-equivalence guarantee;
+* :mod:`repro.service.engine` — single and batched queries served on the
+  caller's thread, a bound on searches running at once, per-query
+  deadlines, sequential-equivalence guarantee;
 * :mod:`repro.service.snapshot` — save/load of a built index so a service
   warm-starts instead of re-embedding and re-building;
 * :mod:`repro.service.metrics` — QPS, latency percentiles, cache hit rate

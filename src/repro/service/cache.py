@@ -10,7 +10,7 @@ know which keys are affected.
 
 Because an entry can only ever hit while it is exact, ``capacity`` is the one
 bound: beyond it the least-recently-used entry goes.  All operations are
-guarded by a lock so the cache can be shared by the engine's worker threads.
+guarded by a lock so the cache can be shared by every thread serving queries.
 
 The counts live on instruments of the cache's own :attr:`ResultCache.registry`
 (a serving shell adopts it), each incremented where its event happens;

@@ -1,29 +1,31 @@
-"""The concurrent query-serving engine above :class:`SemTreeIndex`.
+"""The query-serving engine above :class:`SemTreeIndex`.
 
 :class:`QueryEngine` is the runtime the ROADMAP's "serve heavy traffic"
 north star asks for: it accepts single and batched k-NN / range /
-pattern-filtered queries, deduplicates and caches them, executes distinct
-cache misses concurrently over a thread pool, and enforces per-query
-deadlines.
+pattern-filtered queries, caches their answers, bounds how many searches
+run at once, and enforces per-query deadlines.  It holds no threads: every
+query is served on the thread that called it.
 
 Design notes
 ------------
-* **Planning is single-threaded.**  Embedding a query triple exercises the
-  semantic-distance caches (taxonomy depth/ancestor memos), so the planner
-  runs on the calling thread; worker threads only traverse the tree, which
-  is read-only at query time.
-* **Batches are deterministic.**  A batch's results are guaranteed
-  identical to sequential execution: the tree search is deterministic, each
-  distinct query runs exactly once, and results are fanned back out in
-  input order (:meth:`QueryEngine.execute_sequential` exists as the
-  verification baseline).
-* **Deadlines bound waiting, not work.**  Python threads cannot be killed,
-  so a query that misses its deadline is reported as timed out immediately
-  while the worker finishes in the background; its late result is still
-  cached for subsequent queries (tagged with the generation the search
-  observed, so it can never go stale unnoticed).  In-batch duplicates share
-  one execution but keep their own deadlines: each is judged against the
-  worker's completion timestamp.
+* **Planning embeds each distinct triple once.**  Embedding a query triple
+  is the expensive part of planning (O(pivots) semantic distances), so a
+  batch shares one projection per triple; the tree search itself is
+  read-only at query time.
+* **Batches are deterministic.**  A batch is served in input order, one
+  spec after another — a cache lookup, else a search — so its results are
+  identical to sequential execution (:meth:`QueryEngine.execute_sequential`
+  exists as the verification baseline).  A spec repeated in a batch is a
+  result-cache hit on the first one's answer.
+* **``workers`` searches run at once.**  A bounded semaphore of that size
+  is the engine's queue: a caller past it waits for a slot, and that wait
+  is what ``repro_queue_wait_seconds`` and the ``queue_wait`` span measure.
+* **Deadlines bound waiting; a started search finishes.**  A deadline runs
+  from when the engine accepted the batch.  A spec whose budget is spent
+  before its turn, or before a slot frees, is answered ``timed_out``
+  without searching.  A search that starts in time runs to completion,
+  fills the cache (tagged with the generation it observed) and is judged
+  when it ends.
 * **The engine serves the search protocol, not the tree.**  Searches go
   through :meth:`ServableIndex.search_k_nearest` / ``search_range`` and the
   cache stores their *raw* (unfiltered, cache-stable) matches; every result
@@ -38,19 +40,15 @@ Design notes
 
 from __future__ import annotations
 
-import functools
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cost import SearchCost
 from repro.core.semtree import SemanticMatch
 from repro.errors import QueryError
-from repro.obs.tracing import (annotate_span, capture_context, record_span,
-                               resume_context, span)
+from repro.obs.tracing import annotate_span, record_span, span
 from repro.service.cache import ResultCache
 from repro.service.metrics import ServiceMetrics
 from repro.service.planner import (PlannedQuery, QueryKind, QueryPlanner, QuerySpec,
@@ -67,13 +65,12 @@ PATTERN_OVERSAMPLE = 4
 class QueryResult:
     """The outcome of one served query, in batch input order.
 
-    ``cached`` is True when the result was served without running a tree
-    search for this spec — a result-cache hit or an in-batch duplicate of
-    another query.  ``exception`` carries the original exception behind a
-    non-empty ``error`` string (when the failure was an exception rather
-    than a deadline), so front ends can map typed failures — e.g. a
-    coordinator's :class:`~repro.errors.ShardError` — onto transport
-    semantics instead of parsing the message.
+    ``cached`` is True when the result was served from the result cache
+    without running a tree search for this spec.  ``exception`` carries the
+    original exception behind a non-empty ``error`` string (when the failure
+    was an exception rather than a deadline), so front ends can map typed
+    failures — e.g. a coordinator's :class:`~repro.errors.ShardError` — onto
+    transport semantics instead of parsing the message.
     """
 
     spec: QuerySpec
@@ -87,7 +84,7 @@ class QueryResult:
     visited_partitions: Tuple[str, ...] = field(default=(), compare=False,
                                                 repr=False)
     #: Work counters of the search behind this result (``None`` when no
-    #: search ran for this spec — a cache hit or an in-batch duplicate).
+    #: search ran for this spec — a cache hit).
     cost: Optional[SearchCost] = field(default=None, compare=False, repr=False)
     #: ``None`` for a complete answer; the structured partial-answer marker
     #: (``{"answered": [...], "missed": {...}}``) when an ``allow_partial``
@@ -108,31 +105,25 @@ class _Execution:
     ``matches`` are the cache-stable, pre-filter matches the index's search
     protocol returned (``generation`` is the epoch it observed); the overlay
     and the pattern/k post-processing happen at serving time per spec.
-    ``completed_at`` is stamped by the worker the moment the search finishes
-    so the collector can judge deadlines against the true completion time,
-    not against when it happened to read the future.
     """
 
     matches: Tuple[SemanticMatch, ...]
     visited_partitions: Tuple[str, ...]
-    nodes_visited: int
-    points_examined: int
     elapsed: float
-    completed_at: float
     generation: int
     cost: SearchCost = field(default_factory=SearchCost)
     degraded: Optional[Dict[str, object]] = None
 
 
 class QueryEngine:
-    """Concurrent serving engine over one built :class:`SemTreeIndex`.
+    """Serving engine over one built :class:`SemTreeIndex`.
 
     Parameters
     ----------
     index:
         The built index to serve (building it is the caller's job).
     workers:
-        Worker-thread count for batch execution.
+        How many searches run at once; callers beyond it wait for a slot.
     cache_capacity:
         Most entries the result cache holds (see
         :class:`~repro.service.cache.ResultCache`).
@@ -152,12 +143,10 @@ class QueryEngine:
         self.metrics = ServiceMetrics()
         self.default_deadline = default_deadline
         self.workers = workers
-        self._executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="semtree-query"
-        )
-        # Admission control reads these: searches submitted but not yet
-        # finished (queue depth + in-flight), and a smoothed execution time
-        # to predict how long a newly queued search would wait.
+        self._slots = threading.BoundedSemaphore(workers)
+        # Admission control reads these: searches waiting for a slot or
+        # running, and a smoothed execution time to predict how long a newly
+        # queued search would wait.
         self._outstanding_lock = threading.Lock()
         self._outstanding = 0
         self._execution_ewma = 0.0
@@ -170,7 +159,7 @@ class QueryEngine:
         return self.execute_batch([spec])[0]
 
     def execute_batch(self, specs: Sequence[QuerySpec]) -> List[QueryResult]:
-        """Serve a batch: dedupe, consult the cache, run misses concurrently.
+        """Serve a batch on the calling thread, one spec after another.
 
         Results come back in input order and are identical to what
         :meth:`execute_sequential` produces for the same specs.
@@ -180,148 +169,57 @@ class QueryEngine:
             return []
         if self._closed:
             raise QueryError("the engine has been closed")
+        accepted = time.perf_counter()
         # One umbrella span for the whole serve path: its children (plan,
         # cache_lookup, queue_wait, execute, finalise) account for the
         # stages, while the umbrella itself guarantees the engine's share
         # of a request is fully covered in the trace even between stages.
         with span("serve_batch", queries=len(specs)):
-            return self._serve_batch(specs)
+            with span("plan", queries=len(specs)):
+                batch = self.planner.plan_batch(specs)
+            return [self._serve(planned, accepted) for planned in batch]
 
-    def _serve_batch(self, specs: List[QuerySpec]) -> List[QueryResult]:
-        with span("plan", queries=len(specs)):
-            unique, assignment = self.planner.plan_batch(specs)
+    def _serve(self, planned: PlannedQuery, accepted: float) -> QueryResult:
+        """One spec of a batch: a cache lookup, else a search."""
+        spec = planned.spec
+        budget = spec.deadline or self.default_deadline
+        left = None if budget is None else budget - (time.perf_counter() - accepted)
+        if left is not None and left <= 0:
+            return self._unanswered(spec)
         generation = self.index.generation
-
-        # Deduplicated queries run once but every duplicate keeps its own
-        # deadline: the collector waits out the most generous budget among
-        # the duplicates, then judges each input spec against the worker's
-        # completion timestamp.
-        budgets: Dict[int, List[Optional[float]]] = {}
-        for spec, position in zip(specs, assignment):
-            budgets.setdefault(position, []).append(spec.deadline or self.default_deadline)
-
-        def wait_budget(position: int) -> Optional[float]:
-            deadlines = budgets[position]
-            return None if any(d is None for d in deadlines) else max(deadlines)
-
-        # Phase 1: resolve each distinct query against the cache; submit the
-        # misses to the pool so they run while we collect in order.
-        outcomes: List[Optional[Tuple[str, object]]] = []
-        pending: Dict[int, Tuple[Future, float]] = {}
-        trace_context = capture_context()
-        # One span for the whole lookup/submit phase, not one per query:
-        # span() is cheap when untraced, but not per-query-on-the-warm-path
-        # cheap (a cache hit serves in single-digit microseconds).
-        with span("cache_lookup", queries=len(unique)):
-            for position, planned in enumerate(unique):
-                cached_matches = self.cache.get(planned.cache_key, generation)
-                if cached_matches is not None:
-                    outcomes.append(("hit", cached_matches))
-                else:
-                    outcomes.append(None)
-                    submitted_at = time.perf_counter()
-                    with self._outstanding_lock:
-                        self._outstanding += 1
-                    pending[position] = (
-                        self._executor.submit(self._traced_run, planned,
-                                              trace_context, submitted_at),
-                        submitted_at,
-                    )
-
-        # Phase 2: gather the in-flight searches, enforcing deadlines.
-        for position, (future, submitted_at) in pending.items():
-            planned = unique[position]
-            budget = wait_budget(position)
-            try:
-                if budget is None:
-                    execution = future.result()
-                else:
-                    remaining = budget - (time.perf_counter() - submitted_at)
-                    execution = future.result(timeout=max(remaining, 0.0))
-            except FutureTimeoutError:
-                outcomes[position] = ("timeout", None)
-                # The worker cannot be killed; let its (still valid) late
-                # result warm the cache for subsequent queries.
-                future.add_done_callback(functools.partial(
-                    self._cache_late, planned.cache_key
-                ))
-                continue
-            except Exception as error:  # noqa: BLE001 - surfaced per query
-                outcomes[position] = ("error", error)
-                continue
-            if execution.degraded is None:
-                # A degraded answer is exact only over the partitions that
-                # survived — caching it would serve the gap to every later
-                # (possibly fail-loud) query under the shared cache key.
-                self.cache.put(planned.cache_key, execution.matches,
-                               execution.generation)
-            outcomes[position] = ("executed", (execution,
-                                               execution.completed_at - submitted_at))
-
-        # Phase 3: fan the distinct outcomes back out to input order.
-        first_input_of: Dict[int, int] = {}
-        for input_index, position in enumerate(assignment):
-            first_input_of.setdefault(position, input_index)
-
-        served: Dict[int, Tuple[SemanticMatch, ...]] = {}
-
-        def serve(position: int, raw: Tuple[SemanticMatch, ...],
-                  raw_generation: int) -> Tuple[SemanticMatch, ...]:
-            # Overlay + post-processing once per distinct query; duplicates
-            # share the cache key, hence the pattern and parameters too.
-            if position not in served:
-                served[position] = self._finalise(unique[position], raw,
-                                                  raw_generation)
-            return served[position]
-
-        # One span for the whole fan-out/finalise phase — like the lookup
-        # phase, per-query spans would dominate the cost of serving a hit.
-        results: List[QueryResult] = []
-        with span("finalise", queries=len(specs)):
-            for input_index, (spec, position) in enumerate(zip(specs, assignment)):
-                outcome = outcomes[position]
-                assert outcome is not None
-                tag, value = outcome
-                is_first = first_input_of[position] == input_index
-                if tag == "hit":
-                    result = QueryResult(spec=spec,
-                                         matches=serve(position, tuple(value), generation),
-                                         cached=True)
-                    self._record(result)
-                elif tag == "executed":
-                    execution, completion_seconds = value
-                    own_deadline = spec.deadline or self.default_deadline
-                    if own_deadline is not None and completion_seconds > own_deadline:
-                        # The shared execution finished, but not within THIS
-                        # duplicate's budget.
-                        result = QueryResult(spec=spec, matches=(), cached=False,
-                                             timed_out=True, error="deadline exceeded")
-                        self._record(result)
-                    else:
-                        result = QueryResult(
-                            spec=spec,
-                            matches=serve(position, execution.matches, execution.generation),
-                            cached=not is_first,
-                            latency_seconds=execution.elapsed if is_first else 0.0,
-                            visited_partitions=execution.visited_partitions,
-                            cost=execution.cost if is_first else None,
-                            degraded=execution.degraded,
-                        )
-                        self._record(
-                            result,
-                            visited_partitions=execution.visited_partitions if is_first else (),
-                        )
-                elif tag == "timeout":
-                    result = QueryResult(spec=spec, matches=(), cached=False,
-                                         timed_out=True, error="deadline exceeded")
-                    self._record(result)
-                else:
-                    result = QueryResult(spec=spec, matches=(), cached=False,
-                                         error=f"{type(value).__name__}: {value}",
-                                         exception=value)
-                    self._record(result)
-                results.append(result)
-        return results
+        with span("cache_lookup"):
+            raw = self.cache.get(planned.cache_key, generation)
+        if raw is not None:
+            with span("finalise"):
+                result = QueryResult(spec=spec, cached=True,
+                                     matches=self._finalise(planned, raw, generation))
+            self._record(result)
+            return result
+        try:
+            execution = self._search(planned, left)
+        except Exception as error:  # noqa: BLE001 - surfaced per query
+            return self._unanswered(spec, error)
+        if execution is None:
+            return self._unanswered(spec)
+        if execution.degraded is None:
+            # A degraded answer is exact only over the partitions that
+            # survived — caching it would serve the gap to every later
+            # (possibly fail-loud) query under the shared cache key.
+            self.cache.put(planned.cache_key, execution.matches, execution.generation)
+        if budget is not None and time.perf_counter() - accepted > budget:
+            return self._unanswered(spec)
+        with span("finalise"):
+            result = QueryResult(
+                spec=spec,
+                matches=self._finalise(planned, execution.matches, execution.generation),
+                cached=False,
+                latency_seconds=execution.elapsed,
+                visited_partitions=execution.visited_partitions,
+                cost=execution.cost,
+                degraded=execution.degraded,
+            )
+        self._record(result, visited_partitions=execution.visited_partitions)
+        return result
 
     def execute_sequential(self, specs: Sequence[QuerySpec]) -> List[QueryResult]:
         """The verification/benchmark baseline: one query at a time, no cache.
@@ -351,27 +249,32 @@ class QueryEngine:
         """How many k-NN candidates to retrieve before the pattern filter."""
         return spec.k if spec.pattern is None else spec.k * PATTERN_OVERSAMPLE
 
-    def _traced_run(self, planned: PlannedQuery,
-                    trace_context, submitted_at: float) -> _Execution:
-        """Worker-thread wrapper around :meth:`_run` with observability.
+    def _search(self, planned: PlannedQuery,
+                wait: Optional[float]) -> Optional[_Execution]:
+        """:meth:`_run` in a search slot; ``None`` if none frees within ``wait``.
 
-        Records the queue wait (submission until a worker picked the task
-        up) as a metric and — when the submitter carried a trace — as a
-        span, then runs the search inside an ``execute`` span attached to
-        the submitter's span tree.
+        Records the wait for the slot as a metric and a ``queue_wait`` span,
+        then runs the search inside an ``execute`` span.
         """
+        queued = time.perf_counter()
+        with self._outstanding_lock:
+            self._outstanding += 1
+        if not self._slots.acquire(timeout=wait):
+            with self._outstanding_lock:
+                self._outstanding -= 1
+            return None
         started = time.perf_counter()
-        self.metrics.record_queue_wait(started - submitted_at)
+        self.metrics.record_queue_wait(started - queued)
+        record_span("queue_wait", queued, started)
         try:
-            with resume_context(trace_context):
-                record_span("queue_wait", submitted_at, started)
-                with span("execute", kind=planned.spec.kind.value):
-                    execution = self._run(planned)
-                    # The cost counters only exist once the search ran, so they
-                    # are merged into the execute span post-hoc.
-                    annotate_span(cost=execution.cost.to_dict())
-                    return execution
+            with span("execute", kind=planned.spec.kind.value):
+                execution = self._run(planned)
+                # The cost counters only exist once the search ran, so they
+                # are merged into the execute span post-hoc.
+                annotate_span(cost=execution.cost.to_dict())
+                return execution
         finally:
+            self._slots.release()
             elapsed = time.perf_counter() - started
             with self._outstanding_lock:
                 self._outstanding -= 1
@@ -384,7 +287,7 @@ class QueryEngine:
                     self._execution_ewma += 0.2 * (elapsed - self._execution_ewma)
 
     def _run(self, planned: PlannedQuery) -> _Execution:
-        """One index search (worker-thread body); deterministic per planned query.
+        """One index search; deterministic per planned query.
 
         Returns the raw, cache-stable matches; :meth:`_finalise` applies the
         live overlay and the per-spec post-processing.
@@ -408,14 +311,10 @@ class QueryEngine:
                                                   allow_partial=True)
             else:
                 outcome = self.index.search_range(planned.point, spec.radius)
-        completed_at = time.perf_counter()
         return _Execution(
             matches=outcome.matches,
             visited_partitions=outcome.visited_partitions,
-            nodes_visited=outcome.nodes_visited,
-            points_examined=outcome.points_examined,
-            elapsed=completed_at - started,
-            completed_at=completed_at,
+            elapsed=time.perf_counter() - started,
             generation=outcome.generation,
             cost=outcome.cost,
             degraded=getattr(outcome, "degraded", None),
@@ -454,13 +353,18 @@ class QueryEngine:
             matches = matches[:spec.k]
         return tuple(matches)
 
-    def _cache_late(self, key: Tuple[Hashable, ...], future: Future) -> None:
-        if future.cancelled() or future.exception() is not None:
-            return
-        execution = future.result()
-        if execution.degraded is not None:
-            return
-        self.cache.put(key, execution.matches, execution.generation)
+    def _unanswered(self, spec: QuerySpec,
+                    error: Optional[BaseException] = None) -> QueryResult:
+        """Record and return a query that timed out (no ``error``) or failed."""
+        if error is None:
+            result = QueryResult(spec=spec, matches=(), cached=False,
+                                 timed_out=True, error="deadline exceeded")
+        else:
+            result = QueryResult(spec=spec, matches=(), cached=False,
+                                 error=f"{type(error).__name__}: {error}",
+                                 exception=error)
+        self._record(result)
+        return result
 
     def _record(self, result: QueryResult,
                 visited_partitions: Tuple[str, ...] = ()) -> None:
@@ -476,7 +380,7 @@ class QueryEngine:
     # -- admission read surface ---------------------------------------------------------
 
     def outstanding(self) -> int:
-        """Searches submitted to the pool but not yet finished (queued + running)."""
+        """Searches waiting for a slot or running."""
         with self._outstanding_lock:
             return self._outstanding
 
@@ -486,11 +390,11 @@ class QueryEngine:
             return self._execution_ewma
 
     def predicted_wait_seconds(self) -> float:
-        """Expected queue wait for a search submitted right now.
+        """Expected wait for a slot for a search queued right now.
 
         Work-conserving estimate: everything outstanding, spread over the
-        worker pool, at the smoothed per-search execution time.  Crude on
-        purpose — admission control needs a stable signal that grows
+        ``workers`` slots, at the smoothed per-search execution time.  Crude
+        on purpose — admission control needs a stable signal that grows
         linearly with backlog, not an exact schedule.
         """
         with self._outstanding_lock:
@@ -512,10 +416,9 @@ class QueryEngine:
 
     # -- lifecycle ----------------------------------------------------------------------
 
-    def close(self, *, wait: bool = True) -> None:
-        """Shut the worker pool down; the engine refuses queries afterwards."""
+    def close(self) -> None:
+        """Refuse queries from now on (the engine holds no threads to stop)."""
         self._closed = True
-        self._executor.shutdown(wait=wait)
 
     def __enter__(self) -> "QueryEngine":
         return self

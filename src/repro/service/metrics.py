@@ -126,7 +126,7 @@ class ServiceMetrics:
             "Latency of executed (non-cached) queries, by kind.", ("kind",))
         self._queue_wait_histogram = registry.histogram(
             "repro_queue_wait_seconds",
-            "Time an executed query waited for a pool worker.").labels()
+            "Time an executed query waited for a search slot.").labels()
         self._distance_histogram = registry.histogram(
             "repro_query_distance_computations",
             "Exact distance computations per executed query, by kind.",
@@ -144,7 +144,7 @@ class ServiceMetrics:
         search entered (empty for cache hits), feeding the per-partition
         load counters.  ``cost`` is the search's
         :class:`~repro.core.cost.SearchCost` (``None`` when no search ran —
-        a cache hit or an in-batch duplicate); its counters accumulate into
+        a cache hit); its counters accumulate into
         the per-process work totals and the distance-computation histogram.
 
         Only successfully *executed* queries contribute a latency sample:
@@ -186,11 +186,11 @@ class ServiceMetrics:
         self._overlay_retries.inc()
 
     def record_queue_wait(self, seconds: float) -> None:
-        """Record how long one query waited for a pool worker to pick it up.
+        """Record how long one query waited for a search slot.
 
         Queue wait is the engine's saturation signal: execute time measures
-        the tree search, queue wait measures everything the pool could not
-        absorb.  Recorded per executed (non-cached) query.
+        the tree search, queue wait measures everything the ``workers``
+        slots could not absorb.  Recorded per executed (non-cached) query.
         """
         with self._lock:
             self._queue_waits.append(seconds)

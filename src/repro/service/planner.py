@@ -1,13 +1,11 @@
 """Query normalisation and routing for the serving layer.
 
-The planner is the single-threaded front half of the
-:class:`~repro.service.engine.QueryEngine`: it embeds each query triple into
-the index's vector space exactly once, classifies the query (k-NN, range,
-optionally pattern-filtered), derives the cache key, and deduplicates
-identical queries within a batch so the tree is searched once per distinct
-query.  Everything downstream (cache lookups, concurrent tree searches)
-works on :class:`PlannedQuery` objects and never touches the semantic
-distance again.
+The planner is the front half of the
+:class:`~repro.service.engine.QueryEngine`: it embeds each distinct query
+triple of a batch into the index's vector space exactly once, classifies the
+query (k-NN, range, optionally pattern-filtered) and derives the cache key.
+Everything downstream (cache lookups, tree searches) works on
+:class:`PlannedQuery` objects and never touches the semantic distance again.
 """
 
 from __future__ import annotations
@@ -160,37 +158,18 @@ class QueryPlanner:
         cache_key = (spec.kind.value, point.coordinates, parameters, spec.pattern)
         return PlannedQuery(spec=spec, point=point, cache_key=cache_key)
 
-    def plan_batch(self, specs: Sequence[QuerySpec]) -> Tuple[List[PlannedQuery], List[int]]:
-        """Plan a batch, deduplicating identical queries.
+    def plan_batch(self, specs: Sequence[QuerySpec]) -> List[PlannedQuery]:
+        """Plan a batch: one :class:`PlannedQuery` per spec, in input order.
 
         Each distinct *triple* in the batch is embedded exactly once (the
         projection is the expensive part — O(pivots) semantic-distance
         evaluations), however many specs reference it.
-
-        Returns ``(unique, assignment)``: the distinct planned queries in
-        first-occurrence order, and one index into ``unique`` per input spec,
-        so the engine executes each distinct query once and fans the result
-        back out to every duplicate.
         """
         point_of: dict = {}
-        unique: List[PlannedQuery] = []
-        position_of: dict = {}
-        assignment: List[int] = []
+        planned: List[PlannedQuery] = []
         for spec in specs:
             point = point_of.get(spec.triple)
             if point is None:
-                point = self.index.embed_query(spec.triple)
-                point_of[spec.triple] = point
-            planned = self._plan_with_point(spec, point)
-            # Dedup within the batch on (cache key, allow_partial): the two
-            # modes share the *cache* (cached entries are always exact) but
-            # must not share an in-flight execution — a degraded answer for
-            # a partial-tolerant spec would leak into an exact query's result.
-            dedup_key = (planned.cache_key, spec.allow_partial)
-            position = position_of.get(dedup_key)
-            if position is None:
-                position = len(unique)
-                position_of[dedup_key] = position
-                unique.append(planned)
-            assignment.append(position)
-        return unique, assignment
+                point = point_of[spec.triple] = self.index.embed_query(spec.triple)
+            planned.append(self._plan_with_point(spec, point))
+        return planned

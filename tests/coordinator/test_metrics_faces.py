@@ -73,7 +73,7 @@ ENGINE_FAMILIES = {
         "histogram", ("kind",), "Latency of executed (non-cached) queries, by kind.",
         LATENCY_BUCKETS),
     "repro_queue_wait_seconds": (
-        "histogram", (), "Time an executed query waited for a pool worker.",
+        "histogram", (), "Time an executed query waited for a search slot.",
         LATENCY_BUCKETS),
     "repro_query_distance_computations": (
         "histogram", ("kind",), "Exact distance computations per executed query, by kind.",
@@ -88,7 +88,8 @@ ENGINE_FAMILIES = {
     "repro_cache_invalidations_total": (
         "counter", (), "Result cache generation invalidations.", None),
     "repro_cache_size": ("gauge", (), "Entries currently resident in the result cache.", None),
-    "repro_engine_workers": ("gauge", (), "Query-engine worker threads.", None),
+    "repro_engine_workers": (
+        "gauge", (), "Most searches the query engine runs at once.", None),
 }
 
 FAMILIES = {

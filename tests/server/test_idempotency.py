@@ -9,11 +9,19 @@ deduplicates replayed keys by returning the original response.
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 import pytest
 
 from server_corpus import INSERT_TRIPLES, QUERY_TRIPLES
 from repro.errors import ServerError
+from repro.ingest import IngestingIndex
+from repro.io.serialization import triple_to_dict
 from repro.workloads import ServerClient
+from repro.server import ServerApp
+from repro.server.context import request_context
 from repro.server.protocol import RequestParser
 from repro.workloads.http_client import _IDEMPOTENT_POST_PATHS
 
@@ -111,3 +119,93 @@ class TestServerSideDedup:
             "POST", "/v1/knn", ServerClient.knn_payload(QUERY_TRIPLES[0], 3),
             headers={"Idempotency-Key": "irrelevant"})
         assert "matches" in result
+
+
+class TestConcurrentKeys:
+    """Two requests with one key in flight at once: the batch applies once."""
+
+    @staticmethod
+    def race(make_base, tmp_path, monkeypatch, fail_first=False):
+        index = IngestingIndex(make_base(), tmp_path / "wal.jsonl")
+        app = ServerApp(index)
+        real_insert = index.insert
+        calls = []
+
+        def slow_insert(*args, **kwargs):
+            calls.append(None)
+            time.sleep(0.2)
+            if fail_first and len(calls) == 1:
+                raise OSError("disk on fire")
+            return real_insert(*args, **kwargs)
+
+        monkeypatch.setattr(index, "insert", slow_insert)
+        body = {"triple": triple_to_dict(INSERT_TRIPLES[0])}
+        outcomes = []
+
+        def send():
+            with request_context(idempotency_key="same"):
+                try:
+                    outcomes.append(app.handle_insert(body))
+                except OSError as error:
+                    outcomes.append(error)
+
+        senders = [threading.Thread(target=send) for _ in range(2)]
+        try:
+            for sender in senders:
+                sender.start()
+            for sender in senders:
+                sender.join(10.0)
+            assert not any(sender.is_alive() for sender in senders)
+            return index, app, outcomes
+        finally:
+            app.close()
+
+    def test_the_second_request_replays_the_first(self, make_base, tmp_path,
+                                                  monkeypatch):
+        index, app, outcomes = self.race(make_base, tmp_path, monkeypatch)
+        assert len(index.wal) == 1
+        assert len(outcomes) == 2
+        assert outcomes[0]["seq"] == outcomes[1]["seq"]
+        assert sorted(outcome.get("deduplicated", False) for outcome in outcomes) == \
+            [False, True]
+        assert app._claims == {}
+
+    def test_a_failed_first_attempt_leaves_the_key_to_the_waiter(
+            self, make_base, tmp_path, monkeypatch):
+        index, app, outcomes = self.race(make_base, tmp_path, monkeypatch,
+                                         fail_first=True)
+        assert isinstance(outcomes[0], OSError)
+        assert outcomes[1]["seq"] == 1 and "deduplicated" not in outcomes[1]
+        assert len(index.wal) == 1
+        assert app._claims == {}
+
+    def test_many_racers_per_key_apply_each_key_once(self, make_base, tmp_path):
+        index = IngestingIndex(make_base(), tmp_path / "wal.jsonl")
+        app = ServerApp(index)
+        keys = [f"key-{number}" for number in range(4)]
+        outcomes = {key: [] for key in keys}
+        start = threading.Barrier(4 * len(keys))
+
+        def send(key, triple):
+            start.wait(10.0)
+            with request_context(idempotency_key=key):
+                outcomes[key].append(app.handle_insert({"triple": triple_to_dict(triple)}))
+
+        senders = [threading.Thread(target=send, args=(key, INSERT_TRIPLES[number]))
+                   for number, key in enumerate(keys) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for sender in senders:
+                sender.start()
+            for sender in senders:
+                sender.join(10.0)
+        finally:
+            sys.setswitchinterval(interval)
+            app.close()
+        assert not any(sender.is_alive() for sender in senders)
+        assert len(index.wal) == len(keys)
+        for key in keys:
+            assert len({outcome["seq"] for outcome in outcomes[key]}) == 1
+            assert sum("deduplicated" not in outcome for outcome in outcomes[key]) == 1
+        assert app._claims == {}

@@ -1,5 +1,6 @@
-"""Tests for the concurrent query engine: batching, caching, deadlines."""
+"""Tests for the query engine: batching, caching, search slots, deadlines."""
 
+import threading
 import time
 
 import pytest
@@ -8,6 +9,34 @@ from repro.errors import QueryError
 from repro.rdf import TriplePattern
 from repro.service import QueryEngine, QuerySpec
 from repro.workloads import mixed_query_specs
+
+
+def distinct_queries(index, triples, count):
+    """``count`` k-NN specs whose triples embed to distinct points."""
+    specs, points = [], set()
+    for triple in dict.fromkeys(triples):
+        point = index.embed_query(triple).coordinates
+        if point not in points:
+            points.add(point)
+            specs.append(QuerySpec.k_nearest(triple, 3))
+        if len(specs) == count:
+            return specs
+    raise AssertionError(f"the corpus has fewer than {count} distinct query points")
+
+
+def counting_run(engine_, delay=0.0, gate=None):
+    """Wrap ``engine_._run``: record each call's thread, then sleep or wait."""
+    real_run = engine_._run
+    threads = []
+
+    def run(planned):
+        threads.append(threading.current_thread())
+        if gate is not None:
+            gate(planned)
+        time.sleep(delay)
+        return real_run(planned)
+
+    return run, threads
 
 
 @pytest.fixture
@@ -176,6 +205,100 @@ class TestDeadlines:
             results = engine_.execute_batch([strict, generous])
             assert results[0].timed_out
             assert results[1].ok and results[1].matches
+
+    def test_a_spec_out_of_budget_before_its_turn_is_not_searched(
+            self, built_requirements_index, monkeypatch):
+        index, _, corpus = built_requirements_index
+        slow, other = distinct_queries(index, corpus.all_triples(), 2)
+        strict = QuerySpec.k_nearest(other.triple, 3, deadline=0.01)
+        with QueryEngine(index, workers=2) as engine_:
+            run, threads = counting_run(engine_, delay=0.1)
+            monkeypatch.setattr(engine_, "_run", run)
+            results = engine_.execute_batch([slow, strict])
+        assert results[0].ok and results[0].matches
+        assert results[1].timed_out
+        assert len(threads) == 1
+
+    def test_a_search_past_its_deadline_still_fills_the_cache(
+            self, built_requirements_index, monkeypatch):
+        index, _, corpus = built_requirements_index
+        triple = corpus.all_triples()[0]
+        with QueryEngine(index, workers=2) as engine_:
+            run, threads = counting_run(engine_, delay=0.3)
+            monkeypatch.setattr(engine_, "_run", run)
+            late = engine_.execute(QuerySpec.k_nearest(triple, 3, deadline=0.05))
+            assert late.timed_out
+            again = engine_.execute(QuerySpec.k_nearest(triple, 3))
+        assert again.ok and again.cached and again.matches
+        assert len(threads) == 1
+
+
+class TestCallerThread:
+    def test_serving_starts_no_thread(self, built_requirements_index):
+        index, _, corpus = built_requirements_index
+        specs = distinct_queries(index, corpus.all_triples(), 8)
+        with QueryEngine(index, workers=4) as engine_:
+            before = {thread.name for thread in threading.enumerate()}
+            results = engine_.execute_batch(specs)
+            engine_.execute(QuerySpec.range_query(specs[0].triple, 0.2))
+            after = {thread.name for thread in threading.enumerate()}
+        assert all(result.ok and not result.cached for result in results)
+        assert after - before == set()
+
+    def test_searches_run_on_the_callers_thread(self, built_requirements_index,
+                                                 monkeypatch):
+        index, _, corpus = built_requirements_index
+        specs = distinct_queries(index, corpus.all_triples(), 4)
+        with QueryEngine(index, workers=4) as engine_:
+            run, threads = counting_run(engine_)
+            monkeypatch.setattr(engine_, "_run", run)
+            engine_.execute_batch(specs)
+        assert threads == [threading.current_thread()] * len(specs)
+
+    def test_workers_bound_the_searches_running_at_once(self, built_requirements_index,
+                                                         monkeypatch):
+        index, _, corpus = built_requirements_index
+        specs = distinct_queries(index, corpus.all_triples(), 6)
+        release = threading.Event()
+        lock = threading.Lock()
+        running = [0]
+        most = [0]
+
+        def gate(planned):
+            with lock:
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+            release.wait(10.0)
+            with lock:
+                running[0] -= 1
+
+        with QueryEngine(index, workers=2) as engine_:
+            run, _ = counting_run(engine_, gate=gate)
+            monkeypatch.setattr(engine_, "_run", run)
+            results = [None] * len(specs)
+
+            def serve(position):
+                results[position] = engine_.execute(specs[position])
+
+            callers = [threading.Thread(target=serve, args=(position,))
+                       for position in range(len(specs))]
+            for caller in callers:
+                caller.start()
+            waited_until = time.monotonic() + 10.0
+            while engine_.outstanding() < len(specs) and time.monotonic() < waited_until:
+                time.sleep(0.01)
+            time.sleep(0.1)
+            outstanding_while_blocked = engine_.outstanding()
+            running_while_blocked = running[0]
+            release.set()
+            for caller in callers:
+                caller.join(10.0)
+            assert not any(caller.is_alive() for caller in callers)
+            assert outstanding_while_blocked == len(specs)
+            assert running_while_blocked == 2
+            assert most[0] == 2
+            assert engine_.outstanding() == 0
+            assert all(result.ok for result in results)
 
 
 class TestFailures:

@@ -1,4 +1,4 @@
-"""Tests for query specs, planning and in-batch deduplication."""
+"""Tests for query specs and planning."""
 
 import pytest
 
@@ -79,19 +79,30 @@ class TestQueryPlanner:
         slow = planner.plan(QuerySpec.k_nearest(triple, 3, deadline=30.0))
         assert fast.cache_key == slow.cache_key
 
-    def test_plan_batch_deduplicates(self, built_requirements_index):
+    def test_plan_batch_embeds_each_distinct_triple_once(self, built_requirements_index,
+                                                         monkeypatch):
         index, _, corpus = built_requirements_index
         planner = QueryPlanner(index)
         triples = corpus.all_triples()
+        embedded = []
+        real_embed = index.embed_query
+
+        def counting_embed(triple):
+            embedded.append(triple)
+            return real_embed(triple)
+
+        monkeypatch.setattr(index, "embed_query", counting_embed)
         specs = [
             QuerySpec.k_nearest(triples[0], 3),
             QuerySpec.k_nearest(triples[1], 3),
-            QuerySpec.k_nearest(triples[0], 3),  # duplicate of the first
+            QuerySpec.k_nearest(triples[0], 3),  # repeats the first
             QuerySpec.range_query(triples[0], 0.2),
         ]
-        unique, assignment = planner.plan_batch(specs)
-        assert len(unique) == 3
-        assert assignment == [0, 1, 0, 2]
+        planned = planner.plan_batch(specs)
+        assert [query.spec for query in planned] == specs
+        assert embedded == [triples[0], triples[1]]
+        assert planned[0].cache_key == planned[2].cache_key
+        assert planned[0].point is planned[3].point
 
     def test_unbuilt_index_is_rejected(self, requirement_distance):
         from repro.core import SemTreeIndex
