@@ -6,10 +6,9 @@ Boot sequence:
    from its persisted vocabulary hints (or harvested) and the full index is
    loaded — the coordinator needs the FastMap space (query embedding), the
    routing tree (partition pruning) and the provenance map;
-2. the shard topology is read (``--shards`` inline or ``--topology`` JSON
-   file) and every data-bearing partition is checked to be covered; unless
-   ``--skip-shard-check``, each shard's ``/v1/shard`` is probed to confirm
-   it serves the partition the topology claims;
+2. the shard topology is read from ``--shards`` and each shard's
+   ``/v1/shard`` is probed to confirm it serves the partition the topology
+   claims; every data-bearing partition must be covered;
 3. a :class:`~repro.coordinator.app.CoordinatorApp` (query engine over the
    :class:`~repro.coordinator.sharded.ShardedIndex`) is bound to the HTTP
    transport (:class:`~repro.server.http.SemTreeServer`);
@@ -56,12 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--snapshot", required=True,
                         help="checkpoint snapshot (the same one the shards booted "
                              "from); provides embedding, routing tree and provenance")
-    parser.add_argument("--shards", default=None,
-                        help="inline topology: P0=http://host:port,P1=...")
-    parser.add_argument("--topology", default=None,
-                        help="topology JSON file ({\"P0\": \"http://...\", ...})")
-    parser.add_argument("--scatter-workers", type=int, default=8,
-                        help="concurrent partition scans across all queries")
+    parser.add_argument("--shards", required=True,
+                        help="topology: P0=http://host:port,P1=... (replicas "
+                             "of one partition separated by |)")
     parser.add_argument("--shard-timeout", type=float, default=10.0,
                         help="per-scan HTTP timeout in seconds")
     parser.add_argument("--failure-threshold", type=int, default=3,
@@ -74,8 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="send a duplicate scan to another replica when the "
                              "first takes longer than this many seconds "
                              "(default: no hedging)")
-    parser.add_argument("--skip-shard-check", action="store_true",
-                        help="do not probe each shard's /v1/shard at boot")
     add_serving_options(parser)
     return parser
 
@@ -99,14 +93,9 @@ def _check_shards(topology: ShardTopology, timeout: float) -> None:
 def build_coordinator(argv: Optional[Sequence[str]] = None,
                       ) -> Tuple[SemTreeServer, argparse.Namespace]:
     """Parse arguments, load the snapshot, return a bound (not serving) server."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if (args.shards is None) == (args.topology is None):
-        parser.error("exactly one of --shards / --topology is required")
-    topology = (ShardTopology.parse(args.shards) if args.shards is not None
-                else ShardTopology.from_file(args.topology))
-    if not args.skip_shard_check:
-        _check_shards(topology, args.shard_timeout)
+    args = build_parser().parse_args(argv)
+    topology = ShardTopology.parse(args.shards)
+    _check_shards(topology, args.shard_timeout)
 
     payload = read_snapshot_payload(args.snapshot)
     distance, _ = derive_distance_from_state(payload, extra_actors=extra_actors(args))
@@ -122,7 +111,7 @@ def build_coordinator(argv: Optional[Sequence[str]] = None,
         hedge_delay=args.hedge_delay,
         fault_plan=fault_plan,
     )
-    index = ShardedIndex(base, transport, scatter_workers=args.scatter_workers)
+    index = ShardedIndex(base, transport)
     app = CoordinatorApp(index, **engine_options(args))
     # No wire cache: shard data changes under the coordinator without any
     # local epoch signal, so CoordinatorApp names no cacheable routes.

@@ -186,7 +186,7 @@ def _shard_argument(shards: Dict[str, Union[str, Sequence[str]]]) -> str:
 def launch_coordinator(snapshot: str | pathlib.Path,
                        shards: Dict[str, Union[str, Sequence[str]]], *,
                        host: str = "127.0.0.1", port: int = 0,
-                       workers: int = 4, scatter_workers: int = 8,
+                       workers: int = 4,
                        startup_timeout: float = 120.0,
                        python: Optional[str] = None,
                        env: Optional[Dict[str, str]] = None,
@@ -202,8 +202,7 @@ def launch_coordinator(snapshot: str | pathlib.Path,
     return _spawn(
         ["-m", "repro.coordinator", "--snapshot", str(snapshot),
          "--shards", _shard_argument(shards), "--host", host, "--port", str(port),
-         "--workers", str(workers), "--scatter-workers", str(scatter_workers),
-         "--quiet", *extra_args],
+         "--workers", str(workers), "--quiet", *extra_args],
         role="coordinator", startup_timeout=startup_timeout, python=python, env=env,
     )
 

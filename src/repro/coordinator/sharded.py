@@ -58,7 +58,7 @@ from repro.core.knn import ResultSet
 from repro.core.node import Node, RemoteChild
 from repro.core.point import LabeledPoint
 from repro.core.semtree import SearchOutcome, SemanticMatch, SemTreeIndex
-from repro.errors import QueryError, ShardError
+from repro.errors import ShardError
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import annotate_span, capture_context, resume_context, span
 from repro.rdf.triple import Triple
@@ -71,6 +71,9 @@ __all__ = ["ShardedIndex"]
 #: a long-running coordinator's metrics stay O(1) in memory and the
 #: percentile sort stays cheap (same pattern as ServingMetrics).
 LATENCY_SAMPLE_LIMIT = 4096
+
+#: Pool threads scanning partitions for all queries together.
+SCATTER_WORKERS = 8
 
 
 def _latency_block(samples: List[float]) -> Dict[str, float]:
@@ -100,16 +103,13 @@ class ShardedIndex:
         production (:class:`~repro.coordinator.transport.HttpShardTransport`),
         the simulated cluster in tests
         (:class:`~repro.cluster.transport.SimulatedClusterTransport`).
-    scatter_workers:
-        Pool threads scanning for all queries together.  Each query submits
-        its scans but one, runs that one itself and gathers in partition
-        order.
+
+    Each query submits its scans but one to the :data:`SCATTER_WORKERS`
+    threads all queries share, runs that one itself and gathers in
+    partition order.
     """
 
-    def __init__(self, base: SemTreeIndex, transport: PartitionTransport, *,
-                 scatter_workers: int = 8):
-        if scatter_workers < 1:
-            raise QueryError(f"scatter_workers must be >= 1, got {scatter_workers}")
+    def __init__(self, base: SemTreeIndex, transport: PartitionTransport):
         self.base = base
         self.transport = transport
         self._data_partitions = tuple(
@@ -124,7 +124,7 @@ class ShardedIndex:
                 failed={partition_id: "not in topology" for partition_id in missing},
             )
         self._executor = ThreadPoolExecutor(
-            max_workers=scatter_workers, thread_name_prefix="semtree-scatter"
+            max_workers=SCATTER_WORKERS, thread_name_prefix="semtree-scatter"
         )
         # Guards the per-shard sample windows only; the counts are instruments.
         self._stats_lock = threading.Lock()

@@ -4,23 +4,17 @@ A topology is a plain mapping ``partition_id → replica base URLs``.  Every
 partition has at least one replica; the first listed is the *primary* (the
 transport prefers it while healthy, and :meth:`ShardTopology.url_of` keeps
 returning it for single-replica callers).  Operators write topologies
-either inline — replicas separated by ``|`` —
+inline — replicas separated by ``|`` —
 
     --shards "P0=http://10.0.0.1:9000|http://10.0.0.2:9000,P1=http://10.0.0.3:9000"
 
-or as a JSON file whose values are a URL or a list of URLs::
-
-    {"P0": ["http://10.0.0.1:9000", "http://10.0.0.2:9000"],
-     "P1": "http://10.0.0.3:9000"}
-
+and code passes the mapping itself, each value a URL or a list of URLs.
 The launcher (:mod:`repro.coordinator.launcher`) builds one from the ports
 its shard subprocesses actually bound.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
@@ -101,17 +95,6 @@ class ShardTopology:
                 url.strip() for url in urls.split(REPLICA_SEPARATOR) if url.strip()
             )
         return cls(shards)
-
-    @classmethod
-    def from_file(cls, path: str | pathlib.Path) -> "ShardTopology":
-        """Load a ``{"P0": "http://..." | ["http://...", ...], ...}`` JSON file."""
-        try:
-            payload = json.loads(pathlib.Path(path).read_text())
-        except json.JSONDecodeError as error:
-            raise ShardError(f"topology file is not valid JSON: {error}") from error
-        if not isinstance(payload, dict):
-            raise ShardError("a topology file must hold one JSON object")
-        return cls({str(key): value for key, value in payload.items()})
 
     # -- queries ------------------------------------------------------------------------
 

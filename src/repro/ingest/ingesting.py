@@ -97,10 +97,6 @@ class IngestingIndex:
         # Serialises WAL-append + delta-add so delta order equals sequence
         # order and a drain always covers a gapless prefix of the stream.
         self._insert_lock = threading.Lock()
-        # Embedding exercises the semantic-distance memo caches, which are
-        # plain dicts; one lock keeps inserter threads and the threads
-        # planning queries from racing in them.
-        self._embed_lock = threading.Lock()
         # One threshold fold at a time (see maybe_compact).
         self._fold_lock = threading.Lock()
         self._applied_seq = applied_seq
@@ -133,7 +129,7 @@ class IngestingIndex:
                    compaction_threshold=compaction_threshold)
 
     def _apply_record(self, record: WalRecord) -> None:
-        point = self._project(record.triple)
+        point = self.base.embed_query(record.triple)
         if record.document_id is not None:
             # Idempotent on the replay path: a checkpoint snapshot persists
             # the provenance map as of save time, which covers the WAL-tail
@@ -150,17 +146,19 @@ class IngestingIndex:
     # -- the write path -----------------------------------------------------------------
 
     def insert(self, triple: Triple, *, document_id: str | None = None) -> int:
-        """Log, project and stage one triple; returns its WAL sequence number.
+        """Project, log and stage one triple; returns its WAL sequence number.
 
-        The triple is queryable the moment this returns.  Inserts run as
-        *readers* of the tree lock: any number of them interleave with
-        queries, and only an in-flight compaction (a writer) briefly delays
-        them.
+        The triple is queryable the moment this returns.  It is projected
+        first, outside every lock, so a triple that cannot be projected is
+        never logged (and never reappears on recovery).  Logging and staging
+        run as *readers* of the tree lock: any number of inserts interleave
+        with queries, and only an in-flight compaction (a writer) briefly
+        delays them.
         """
+        point = self.base.embed_query(triple)
         with self._lock.read():
             with self._insert_lock:
                 seq = self.wal.append(triple, document_id=document_id)
-                point = self._project(triple)
                 if document_id is not None:
                     self.base.register_provenance(triple, document_id)
                 self.delta.add(point, seq)
@@ -173,10 +171,6 @@ class IngestingIndex:
         for triple in triples:
             seq = self.insert(triple, document_id=document_id)
         return seq
-
-    def _project(self, triple: Triple) -> LabeledPoint:
-        with self._embed_lock:
-            return self.base.embed_query(triple)
 
     # -- compaction ---------------------------------------------------------------------
 
@@ -248,8 +242,12 @@ class IngestingIndex:
         return self.base.generation
 
     def embed_query(self, triple: Triple) -> LabeledPoint:
-        """Project a query triple (serialised against inserter-side embedding)."""
-        return self._project(triple)
+        """Project a query triple into the base index's fitted space.
+
+        Needs no lock: projection only reads the fitted space, and the
+        semantic-distance memo caches it fills store fully built values.
+        """
+        return self.base.embed_query(triple)
 
     def search_k_nearest(self, point: LabeledPoint, k: int) -> SearchOutcome:
         """The cache-stable side of a k-NN read: a tree-only search.

@@ -13,14 +13,12 @@ Three pillars, threaded through every serving layer:
   plus the threshold-configurable slow-query log.
 * :mod:`repro.obs.profile` — a sampling profiler over
   ``sys._current_frames()`` behind ``GET /v1/debug/profile``.
-* :mod:`repro.obs.history` + :mod:`repro.obs.top` — an in-process ring
-  buffer of registry deltas (``GET /v1/history``) and the live terminal
-  view that polls it.
+* :mod:`repro.obs.top` — a live terminal view that windows two
+  consecutive scrapes of any node's Prometheus exposition.
 
 See ``docs/observability.md`` for the full contract.
 """
 
-from repro.obs.history import MetricsHistory
 from repro.obs.logging import (JsonLogFormatter, SlowQueryLog,
                                configure_logging, get_logger)
 from repro.obs.profile import SamplingProfiler, profile_endpoint
@@ -35,7 +33,6 @@ __all__ = [
     "CONTENT_TYPE",
     "DEFAULT_LATENCY_BUCKETS",
     "JsonLogFormatter",
-    "MetricsHistory",
     "MetricsRegistry",
     "SamplingProfiler",
     "SlowQueryLog",

@@ -9,8 +9,8 @@ clients that are not the process that built it:
   :class:`Triple`, result rendering, structured JSON errors;
 * :mod:`repro.server.shell` — :class:`ServiceShell` / :class:`EngineShell`,
   what every serving tier shares: request counters, the close-once
-  lifecycle, the metrics registry, slow-query log, profiler and history,
-  the health / metrics / profile / history routes and (engine-backed
+  lifecycle, the metrics registry, slow-query log and profiler, the
+  health / metrics / profile routes and (engine-backed
   tiers) the ``/v1/knn`` / ``/v1/range`` handler;
 * :mod:`repro.server.app` — :class:`ServerApp`, the full single-node tier:
   queries through :class:`~repro.service.engine.QueryEngine` (batched,

@@ -32,8 +32,6 @@ def add_serving_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--idle-timeout", type=float, default=None,
                         help="drop keep-alive connections idle this many "
                              "seconds (default: the request timeout)")
-    parser.add_argument("--transport-workers", type=int, default=8,
-                        help="dispatch worker threads")
     parser.add_argument("--workers", type=int, default=4,
                         help="most searches the query engine runs at once "
                              "(queries past it wait for a slot)")
@@ -58,8 +56,8 @@ def add_serving_options(parser: argparse.ArgumentParser) -> None:
                         help="admission control: reject /v1/knn and /v1/range "
                              "requests with 503 + Retry-After once this many "
                              "searches are outstanding in the engine, or this "
-                             "many requests are already held by the transport's "
-                             "worker pool (default: unbounded)")
+                             "many of those query requests are already held by "
+                             "the transport's worker pool (default: unbounded)")
     parser.add_argument("--client-rate", type=float, default=None,
                         help="admission control: per-client (X-Client-Id header) "
                              "sustained queries/second (default: unlimited)")
@@ -108,11 +106,10 @@ def engine_options(args: argparse.Namespace) -> Dict[str, Any]:
 
 def bind_server(app, args: argparse.Namespace, fault_plan: Optional[FaultPlan],
                 *, wire_cache: bool = False) -> SemTreeServer:
-    """Bind ``app`` to the address and transport sizing the flags chose."""
+    """Bind ``app`` to the address and transport options the flags chose."""
     return SemTreeServer(
         app, host=args.host, port=args.port, fault_plan=fault_plan,
-        idle_timeout=args.idle_timeout,
-        transport_workers=args.transport_workers, wire_cache=wire_cache,
+        idle_timeout=args.idle_timeout, wire_cache=wire_cache,
     )
 
 

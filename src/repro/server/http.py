@@ -74,6 +74,10 @@ _RECV_SIZE = 64 * 1024
 #: it — the single best indicator of a saturated or stalled event loop.
 _LAG_BUCKETS = (0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0)
 
+#: Size of the worker pool that runs the app: these workers parse JSON,
+#: execute handlers (the engine searches on them) and serialise responses.
+TRANSPORT_WORKERS = 8
+
 #: Most response bodies the wire cache holds; least recently used go first.
 WIRE_CACHE_CAPACITY = 4096
 
@@ -138,10 +142,6 @@ class SemTreeServer:
     fault_plan:
         Optional fault-injection plan for chaos runs (defaults to whatever
         ``$REPRO_FAULTS`` carries, usually nothing); see :mod:`repro.faults`.
-    transport_workers:
-        Size of the worker pool that runs the app: these workers parse
-        JSON, execute handlers (the engine searches on them) and serialise
-        responses.
     wire_cache:
         Enable the loop-side response byte cache (see the module
         docstring) for the app's ``wire_cacheable_routes()`` — only a full
@@ -155,7 +155,6 @@ class SemTreeServer:
                  request_timeout: float = 30.0,
                  idle_timeout: Optional[float] = None,
                  fault_plan: Optional[FaultPlan] = None,
-                 transport_workers: int = 8,
                  wire_cache: bool = False):
         if fault_plan is None:
             fault_plan = FaultPlan.from_env()
@@ -183,10 +182,13 @@ class SemTreeServer:
                                 "wakeup")
 
         self._executor = ThreadPoolExecutor(
-            max_workers=transport_workers, thread_name_prefix="semtree-http")
+            max_workers=TRANSPORT_WORKERS, thread_name_prefix="semtree-http")
         self._connections: Dict[socket.socket, _Connection] = {}
         self._pending = 0
-        self._completions: Deque[Tuple[_Connection, WireResponse, float]] = \
+        # Of the ``_pending`` requests, those on ``app.admitted_routes``:
+        # the figure the enqueue-time shed compares with the queue depth.
+        self._pending_queries = 0
+        self._completions: Deque[Tuple[_Connection, WireResponse, float, bool]] = \
             collections.deque()
         self._completions_lock = threading.Lock()
         self._commands: Deque[Tuple[str, Optional[threading.Event]]] = \
@@ -485,27 +487,30 @@ class SemTreeServer:
             self._queue_response(conn, response, now)
             return
 
+        query = (request.method == "POST"
+                 and request.route in self.app.admitted_routes)
         admission = self.app.admission
-        if (admission is not None and admission.max_queue_depth is not None
-                and self._pending >= admission.max_queue_depth
-                and request.method == "POST"
-                and request.route in self.app.admitted_routes):
+        if (query and admission is not None
+                and admission.max_queue_depth is not None
+                and self._pending_queries >= admission.max_queue_depth):
             # Enqueue-time shedding: the pool is already holding a full
-            # queue's worth of requests, so reject a query before paying for
+            # queue's worth of queries, so reject this one before paying for
             # a submit + context switch (the app-level check would only shed
             # it later, from a worker).  Health, metrics, insert and debug
-            # requests are never queries and always get through.
-            error = admission.shed_transport_overflow(pending=self._pending)
+            # requests are never queries: they neither count nor get shed.
+            error = admission.shed_transport_overflow(
+                pending=self._pending_queries)
             self._queue_response(
                 conn, self.dispatcher.shed_response(error, request, conn.client),
                 now)
             return
 
         self._pending += 1
-        self._executor.submit(self._worker_dispatch, conn, request)
+        self._pending_queries += query
+        self._executor.submit(self._worker_dispatch, conn, request, query)
 
-    def _worker_dispatch(self, conn: _Connection,
-                         request: ParsedRequest) -> None:
+    def _worker_dispatch(self, conn: _Connection, request: ParsedRequest,
+                         query: bool) -> None:
         """Pool-thread half: run the shared dispatcher, post the result."""
         try:
             response = self.dispatcher.dispatch(request, conn.client)
@@ -514,7 +519,7 @@ class SemTreeServer:
                 "type": type(error).__name__, "message": str(error),
             }}).encode("utf-8"), close=True)
         with self._completions_lock:
-            self._completions.append((conn, response, time.monotonic()))
+            self._completions.append((conn, response, time.monotonic(), query))
         self._wake()
 
     def _drain_completions(self, now: float) -> None:
@@ -522,8 +527,9 @@ class SemTreeServer:
             with self._completions_lock:
                 if not self._completions:
                     return
-                conn, response, finished_at = self._completions.popleft()
+                conn, response, finished_at, query = self._completions.popleft()
             self._pending -= 1
+            self._pending_queries -= query
             self._loop_lag.observe(max(now - finished_at, 0.0))
             if not conn.alive:
                 continue

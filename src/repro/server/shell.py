@@ -7,9 +7,9 @@ handlers is the same for all three and lives here:
 * :class:`ServiceShell` — the per-endpoint request counter, uptime, the
   close-once lifecycle (``closed`` / ``_check_open`` / ``close``), the
   metrics registry, the slow-query log, the optional
-  continuous profiler, the metrics history, and the routes every tier
-  answers: ``/v1/healthz``, ``/v1/metrics`` (JSON and
-  ``?format=prometheus``), ``/v1/debug/profile``, ``/v1/history``.
+  continuous profiler, and the routes every tier answers:
+  ``/v1/healthz``, ``/v1/metrics`` (JSON and ``?format=prometheus``),
+  ``/v1/debug/profile``.
 * :class:`EngineShell` — additionally, what the two engine-backed tiers
   share: a :class:`~repro.service.engine.QueryEngine` behind an
   :class:`~repro.service.admission.AdmissionController`, the
@@ -41,7 +41,6 @@ from repro import __version__
 from repro.errors import QueryError, ServerClosingError
 from repro.io.serialization import json_ready
 from repro.obs import prometheus as obs_prometheus
-from repro.obs.history import MetricsHistory
 from repro.obs.logging import SlowQueryLog
 from repro.obs.profile import SamplingProfiler, profile_endpoint
 from repro.obs.registry import MetricsRegistry
@@ -63,8 +62,8 @@ class ServiceShell:
     """Routes, observability and lifecycle common to every serving tier.
 
     Subclasses set up their own state *first* and call this constructor
-    last: it ends by calling :meth:`_bind_registry` and starting the
-    metrics history, both of which read the finished tier.
+    last: it ends by calling :meth:`_bind_registry`, which reads the
+    finished tier.
 
     Parameters
     ----------
@@ -107,7 +106,6 @@ class ServiceShell:
             ("endpoint",))
         self._bind_registry()
         self.profiler = profiler
-        self.history = MetricsHistory(self.registry).start()
 
     def _bind_registry(self) -> None:
         """Publish the tier's series through :attr:`registry`: ``adopt`` the
@@ -125,7 +123,6 @@ class ServiceShell:
             "/v1/healthz": self.health,
             "/v1/metrics": self.handle_metrics,
             "/v1/debug/profile": self.debug_profile,
-            "/v1/history": self.history_payload,
         }
 
     # -- wire-cache hooks (consumed by repro.server.http) -------------------------------
@@ -198,11 +195,6 @@ class ServiceShell:
         self._count("debug_profile")
         return profile_endpoint(params, self.profiler)
 
-    def history_payload(self, params: Dict[str, str]) -> Dict[str, Any]:
-        """``GET /v1/history`` — the in-process metrics history ring buffer."""
-        self._count("history")
-        return self.history.payload()
-
     # -- lifecycle ----------------------------------------------------------------------
 
     def close(self, *, checkpoint: bool | None = None) -> Optional[int]:
@@ -219,7 +211,6 @@ class ServiceShell:
             if self._closed:
                 return None
             self._closed = True
-        self.history.stop()
         if self.profiler is not None:
             self.profiler.stop()
         return self._teardown(checkpoint)

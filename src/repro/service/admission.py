@@ -195,9 +195,9 @@ class AdmissionController:
     def shed_transport_overflow(self, *, pending: int) -> AdmissionError:
         """Count and build the rejection for a request shed at *enqueue* time.
 
-        The event-loop transport calls this before submitting a request to
+        The event-loop transport calls this before submitting a query to
         its worker pool: once the pool already holds ``max_queue_depth``
-        requests, queueing more only manufactures timeouts — the same
+        queries, queueing more only manufactures timeouts — the same
         judgement :meth:`admit` makes from inside a worker, made one hop
         earlier (before the submit and its context switch are paid for).
         The rejection is counted under the ``queue_full`` reason so both
@@ -205,7 +205,7 @@ class AdmissionController:
         """
         self._count_shed("queue_full", 1)
         return AdmissionError(
-            f"the transport queue is full ({pending} requests pending, "
+            f"the transport queue is full ({pending} queries pending, "
             f"depth limit {self.max_queue_depth})",
             reason="queue_full",
             retry_after=max(MIN_RETRY_AFTER,

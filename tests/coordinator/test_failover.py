@@ -158,7 +158,7 @@ class TestReplicaFailover:
         index, triples, data_partitions = corpus_index
         servers, topology = replica_fleet
         transport = make_failover_transport(topology)
-        view = ShardedIndex(index, transport, scatter_workers=4)
+        view = ShardedIndex(index, transport)
         oracle = QueryEngine(index, workers=1)
         try:
             servers[data_partitions[0]][0].close()
@@ -250,7 +250,7 @@ class TestGracefulDegradation:
         for server in servers[data_partitions[0]]:
             server.close()
         transport = make_failover_transport(topology)
-        view = ShardedIndex(index, transport, scatter_workers=4)
+        view = ShardedIndex(index, transport)
         yield view, index, triples, data_partitions[0]
         view.close()
 
@@ -280,7 +280,7 @@ class TestGracefulDegradation:
             for server in pair:
                 server.close()
         transport = make_failover_transport(topology)
-        view = ShardedIndex(index, transport, scatter_workers=4)
+        view = ShardedIndex(index, transport)
         try:
             with pytest.raises(ShardError):
                 view.search_k_nearest(index.embed_query(triples[0]), 3,
@@ -295,7 +295,7 @@ class TestCoordinatorEndToEnd:
         index, triples, data_partitions = corpus_index
         servers, topology = replica_fleet
         transport = make_failover_transport(topology)
-        view = ShardedIndex(index, transport, scatter_workers=4)
+        view = ShardedIndex(index, transport)
         app = CoordinatorApp(view, workers=2)
         server = SemTreeServer(app).serve_background()
         client = ServerClient(server.url)

@@ -39,14 +39,16 @@ def test_every_tier_answers_the_shell_routes(make_tier, role):
         assert isinstance(client.metrics(), dict)
         assert "functions" in client.request(
             "GET", "/v1/debug/profile?seconds=0.05")
-        assert "entries" in client.request("GET", "/v1/history")
+        with pytest.raises(ServerError) as excinfo:
+            client.request("GET", "/v1/history")
+        assert excinfo.value.status == 404
         with pytest.raises(ServerError) as excinfo:
             client.request("GET", "/v1/metrics?format=xml")
         assert excinfo.value.status == 400
         after = _endpoint_counts(client)
     assert after["healthz"] == before.get("healthz", 0) + 1
     assert after["debug_profile"] == before.get("debug_profile", 0) + 1
-    assert after["history"] == before.get("history", 0) + 1
+    assert "history" not in after
     # One JSON read and the second exposition scrape; the rejected format
     # is not a metrics request.
     assert after["metrics"] == before["metrics"] + 2
@@ -67,11 +69,9 @@ def test_every_tier_reports_its_build_and_uptime(make_tier, role):
 def test_concurrent_closes_tear_down_exactly_once(make_tier, role):
     app = make_tier(role)
     teardowns = []
-    history_stops = []
-    real_teardown, real_stop = app._teardown, app.history.stop
+    real_teardown = app._teardown
     app._teardown = lambda checkpoint: (teardowns.append(checkpoint),
                                         real_teardown(checkpoint))[1]
-    app.history.stop = lambda: (history_stops.append(1), real_stop())[1]
 
     barrier = threading.Barrier(8)
 
@@ -91,7 +91,6 @@ def test_concurrent_closes_tear_down_exactly_once(make_tier, role):
         sys.setswitchinterval(switch_interval)
     assert not any(thread.is_alive() for thread in threads)
     assert len(teardowns) == 1
-    assert len(history_stops) == 1
     assert app.closed
 
     # Work endpoints refuse (503 on the wire); liveness still answers.
@@ -104,3 +103,29 @@ def test_concurrent_closes_tear_down_exactly_once(make_tier, role):
         guarded()
     assert role in str(excinfo.value)
     assert app.health({})["status"] == "closing"
+
+
+@pytest.mark.parametrize("role", TIERS)
+def test_a_tier_starts_only_its_transport_and_scatter_threads(make_tier,
+                                                              corpus_index, role):
+    """No profiler (``--profile`` off), no hedging, no background scraper:
+    the loop, the transport workers and, on a coordinator, the scatter pool."""
+    index, triples, _ = corpus_index
+    before = set(threading.enumerate())
+    app = make_tier(role)
+    with SemTreeServer(app).serve_background() as server, \
+            ServerClient(server.url) as client:
+        client.health()
+        client.metrics_prometheus()
+        if role == "shard":
+            coordinates = index.embed_query(triples[0]).coordinates
+            client.request("POST", "/v1/shard/knn",
+                           {"coordinates": list(coordinates), "k": 3})
+        else:
+            client.knn(triples[0], 3)
+        started = {thread.name for thread in set(threading.enumerate()) - before}
+    allowed = ("semtree-http_", "semtree-scatter_") if role == "coordinator" \
+        else ("semtree-http_",)
+    assert "semtree-http-loop" in started
+    assert {name for name in started
+            if name != "semtree-http-loop" and not name.startswith(allowed)} == set()

@@ -198,8 +198,16 @@ class TestConnection:
         pid = data_partitions[0]
         transport = make_transport(topology)
         point = index.embed_query(triples[0])
-        threads = [threading.Thread(target=transport.scan_knn, args=(pid, point, 2))
-                   for _ in range(3)]
+        # No thread exits before all three have scanned: an exited thread's
+        # ident can be reused by the next one started, which would then
+        # share its socket.
+        scanned = threading.Barrier(3)
+
+        def scan():
+            transport.scan_knn(pid, point, 2)
+            scanned.wait(timeout=10.0)
+
+        threads = [threading.Thread(target=scan) for _ in range(3)]
         for thread in threads:
             thread.start()
         for thread in threads:

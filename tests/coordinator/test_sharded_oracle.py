@@ -38,7 +38,7 @@ def mixed_specs(triples, count, *, k=4, radius=0.2, seed=7):
 def sharded(corpus_index, shard_fleet, make_transport):
     index, triples, _ = corpus_index
     _, topology = shard_fleet
-    view = ShardedIndex(index, make_transport(topology), scatter_workers=6)
+    view = ShardedIndex(index, make_transport(topology))
     yield view, index, triples
     view.close()
 
@@ -96,7 +96,7 @@ def test_shard_loss_is_a_structured_partial_failure(corpus_index, shard_fleet,
                                                     make_transport):
     index, triples, data_partitions = corpus_index
     servers, topology = shard_fleet
-    view = ShardedIndex(index, make_transport(topology), scatter_workers=4)
+    view = ShardedIndex(index, make_transport(topology))
     engine = QueryEngine(view, workers=2)
     victim = data_partitions[0]
     try:
@@ -131,8 +131,7 @@ def test_restarting_the_shard_restores_exactness(corpus_index, shard_fleet,
     try:
         healed = dict(topology.shards)
         healed[victim] = replacement.url
-        view = ShardedIndex(index, make_transport(ShardTopology(healed)),
-                            scatter_workers=4)
+        view = ShardedIndex(index, make_transport(ShardTopology(healed)))
         oracle = QueryEngine(index, workers=1)
         engine = QueryEngine(view, workers=2)
         specs = mixed_specs(triples, 12, seed=99)

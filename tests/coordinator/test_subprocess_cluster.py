@@ -248,7 +248,7 @@ def test_cost_annotations_match_the_sequential_oracle(cluster):
 
 
 def test_every_tier_serves_profile_and_history(cluster):
-    """/v1/debug/profile and /v1/history answer on coordinator and shards."""
+    """/v1/debug/profile answers on coordinator and shards; /v1/history is gone."""
     coordinator, shards, _, triples = cluster
     for managed in [coordinator, *shards]:
         client = ServerClient(managed.url)
@@ -256,8 +256,9 @@ def test_every_tier_serves_profile_and_history(cluster):
             profile = client.request("GET", "/v1/debug/profile?seconds=0.05")
             assert profile["source"] == "on_demand"
             assert profile["samples"] > 0
-            history = client.request("GET", "/v1/history")
-            assert set(history) == {"interval_seconds", "capacity", "entries"}
+            with pytest.raises(ServerError) as excinfo:
+                client.request("GET", "/v1/history")
+            assert excinfo.value.status == 404
         finally:
             client.close()
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.coordinator import ShardTopology
@@ -36,21 +34,6 @@ def test_rejects_empty_topology():
 def test_rejects_non_http_urls():
     with pytest.raises(ShardError, match="http base URL"):
         ShardTopology({"P0": "ftp://host"})
-
-
-def test_from_file(tmp_path):
-    path = tmp_path / "topology.json"
-    path.write_text(json.dumps({"P0": "http://a:1", "P2": "http://b:2/"}))
-    topology = ShardTopology.from_file(path)
-    assert topology.partition_ids == ("P0", "P2")
-    assert topology.url_of("P2") == "http://b:2"
-
-
-def test_from_file_rejects_non_object(tmp_path):
-    path = tmp_path / "topology.json"
-    path.write_text("[1, 2]")
-    with pytest.raises(ShardError, match="one JSON object"):
-        ShardTopology.from_file(path)
 
 
 def test_unknown_partition_is_a_shard_error():

@@ -24,7 +24,7 @@ from repro.workloads import ServerClient
 def coordinator(corpus_index, shard_fleet, make_transport):
     index, triples, data_partitions = corpus_index
     _, topology = shard_fleet
-    view = ShardedIndex(index, make_transport(topology), scatter_workers=4)
+    view = ShardedIndex(index, make_transport(topology))
     app = CoordinatorApp(view, workers=2)
     server = SemTreeServer(app).serve_background()
     client = ServerClient(server.url)

@@ -1,11 +1,18 @@
 """IngestingIndex semantics: visibility, epochs, provenance, engine wiring."""
 
+import itertools
+import sys
+import threading
+
 import pytest
 
-from ingest_corpus import INSERT_TRIPLES, canonical
-from repro.core import SemTreeIndex
-from repro.errors import IndexError_
+from ingest_corpus import ACTORS, BASE_TRIPLES, INSERT_TRIPLES, canonical
+from repro.core import SemTreeConfig, SemTreeIndex
+from repro.errors import EmbeddingError, IndexError_
 from repro.ingest import IngestingIndex
+from repro.rdf import Triple
+from repro.requirements import (build_requirement_distance,
+                                build_requirement_vocabularies)
 from repro.service import QueryEngine, QuerySpec
 
 
@@ -139,3 +146,68 @@ class TestStatistics:
         assert stats["applied_seq"] == 5
         assert stats["ingest_qps"] > 0
         assert "compaction_ms" in stats
+
+
+class TestProjection:
+    def test_a_triple_that_fails_projection_is_never_logged(self, ingesting,
+                                                             monkeypatch, tmp_path):
+        real = ingesting.base.embed_query
+        failures = iter([EmbeddingError("projection failed")])
+
+        def embed_once_failing(triple):
+            failure = next(failures, None)
+            if failure is not None:
+                raise failure
+            return real(triple)
+
+        monkeypatch.setattr(ingesting.base, "embed_query", embed_once_failing)
+        points = len(ingesting)
+        with pytest.raises(EmbeddingError):
+            ingesting.insert(INSERT_TRIPLES[0])
+        assert len(ingesting) == points
+        assert len(ingesting.wal) == 0
+        # What recovery would rebuild from this WAL serves the same points.
+        recovered = IngestingIndex(ingesting.base, ingesting.wal.path)
+        try:
+            assert len(recovered) == points
+        finally:
+            recovered.close()
+        # The next insert projects normally and takes the first sequence number.
+        assert ingesting.insert(INSERT_TRIPLES[0]) == 1
+
+    def test_concurrent_projection_equals_a_sequential_pass(self, tmp_path):
+        """Cold semantic-distance memo caches, eight threads, no lock."""
+        distance = build_requirement_distance(build_requirement_vocabularies(ACTORS))
+        base = SemTreeIndex(distance, SemTreeConfig(
+            dimensions=3, bucket_size=4, max_partitions=2, partition_capacity=8))
+        base.add_triples(BASE_TRIPLES)
+        base.build()
+        known = BASE_TRIPLES + INSERT_TRIPLES
+        terms = [sorted({t.projection(position) for t in known}, key=str)
+                 for position in ("subject", "predicate", "object")]
+        novel = [triple for triple in itertools.starmap(Triple, itertools.product(*terms))
+                 if triple not in BASE_TRIPLES][::5][:64]
+        assert len(novel) == 64
+        live = IngestingIndex(base, tmp_path / "wal.jsonl")
+        coordinates = [None] * len(novel)
+        barrier = threading.Barrier(8)
+
+        def embed(worker):
+            barrier.wait(timeout=10.0)
+            for position in range(worker, len(novel), 8):
+                coordinates[position] = live.embed_query(novel[position]).coordinates
+
+        threads = [threading.Thread(target=embed, args=(n,)) for n in range(8)]
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        sequential = [live.embed_query(triple).coordinates for triple in novel]
+        live.close()
+        assert coordinates == sequential

@@ -232,6 +232,33 @@ class TestAdmissionOverHttp:
         assert 'repro_requests_shed_total{reason="queue_full"} 1' in \
             client.metrics_prometheus().splitlines()
 
+    @pytest.mark.parametrize("route", ["/v1/healthz", "/v1/metrics", "/v1/insert"])
+    def test_an_in_flight_non_query_does_not_fill_the_queue(self, make_server,
+                                                            route):
+        plan = FaultPlan([FaultSpec(operation="handle", target=route,
+                                    kind="latency", latency=1.0, max_fires=1)])
+        server, client = make_server(max_queue_depth=1,
+                                     server_kwargs={"fault_plan": plan})
+        parked_client = ServerClient(server.url)
+        park = {
+            "/v1/healthz": parked_client.health,
+            "/v1/metrics": parked_client.metrics,
+            "/v1/insert": lambda: parked_client.insert(INSERT_TRIPLES[0]),
+        }[route]
+        parked = threading.Thread(target=park)
+        parked.start()
+        deadline = time.monotonic() + 5.0
+        while plan.fired() == 0 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert plan.fired() == 1, f"the {route} request is parked in its handler"
+        try:
+            assert client.knn(QUERY_TRIPLES[0], 3)["matches"]
+        finally:
+            parked.join(10.0)
+            parked_client.close()
+        assert not parked.is_alive()
+        assert client.metrics()["server"]["admission"]["shed"] == {}
+
     def test_engine_exposes_admission_signals(self, make_server):
         server, client = make_server()
         engine = server.app.engine

@@ -26,7 +26,7 @@ PARSERS = {
 }
 
 SHARED_FLAGS = [
-    "--host", "--port", "--idle-timeout", "--transport-workers", "--workers",
+    "--host", "--port", "--idle-timeout", "--workers",
     "--cache-capacity", "--default-deadline", "--actors", "--slow-query-ms", "--profile",
     "--max-queue-depth", "--client-rate", "--client-burst", "--faults",
     "--quiet",

@@ -1,9 +1,10 @@
-"""Deep-observability endpoints over HTTP: profile, history, cost, wire bytes.
+"""Deep-observability endpoints over HTTP: profile, metrics windows, cost,
+wire bytes.
 
 Everything here runs against a *real* server on the loopback interface —
-the point is that the profiler, the history ring and the cost counters are
-reachable (and correct) through the same transport production traffic
-uses.
+the point is that the profiler, the windows ``repro.obs.top`` derives from
+the exposition and the cost counters are reachable (and correct) through
+the same transport production traffic uses.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import pytest
 from server_corpus import BASE_TRIPLES
 from repro.errors import ServerError
 from repro.obs.prometheus import parse_exposition
+from repro.obs.top import scrape, window
 from repro.workloads import ServerClient
 
 
@@ -100,19 +102,19 @@ class TestProfileEndpoint:
 
 class TestHistoryEndpoint:
     def test_history_payload_shape(self, make_server):
+        """The process keeps no history: the route is gone."""
         _, client = make_server()
-        payload = client.request("GET", "/v1/history")
-        assert set(payload) == {"interval_seconds", "capacity", "entries"}
-        assert payload["capacity"] > 0
+        with pytest.raises(ServerError) as excinfo:
+            client.request("GET", "/v1/history")
+        assert excinfo.value.status == 404
 
     def test_history_records_query_activity(self, make_server):
+        """``top``'s window over two scrapes bracketing the traffic."""
         server, client = make_server()
+        before = scrape(server.url)
         for k in (1, 2, 3):
             client.knn(BASE_TRIPLES[0], k)
-        # Force a window to close now instead of waiting out the interval.
-        server.app.history.tick()
-        payload = client.request("GET", "/v1/history")
-        latest = payload["entries"][-1]
+        latest = window(scrape(server.url), before, 1.0)
         assert latest["queries"] >= 3
         assert latest["qps"] > 0
         assert latest["p50_ms"] is not None

@@ -126,10 +126,9 @@ class TestScanEndpoints:
         profile = client.request("GET", "/v1/debug/profile?seconds=0.05")
         assert profile["source"] == "on_demand"
         assert profile["samples"] > 0
-        point_history = client.request("GET", "/v1/history")
-        assert set(point_history) == {"interval_seconds", "capacity", "entries"}
-        server.app.history.tick()
-        assert client.request("GET", "/v1/history")["entries"]
+        with pytest.raises(ServerError) as excinfo:
+            client.request("GET", "/v1/history")
+        assert excinfo.value.status == 404
 
     def test_health_and_info_and_metrics(self, shard):
         index, partition_id, _, client = shard

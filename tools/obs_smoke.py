@@ -16,13 +16,16 @@ observability surface end to end:
 4. a request with ``X-Debug-Trace`` returns a span tree carrying the
    client's ``X-Trace-Id`` and a cost annotation on its ``execute`` span;
 5. ``GET /v1/debug/profile`` returns collapsed stacks with ``repro.*``
-   frames, and ``GET /v1/history`` records the traffic just generated.
+   frames, and the window :mod:`repro.obs.top` computes from two
+   exposition scrapes around the generated traffic counts its queries.
 
 A second stage launches a *real* shard fleet (``python -m repro.server
 --shard`` subprocesses plus a ``python -m repro.coordinator``) and checks
 the same surface across processes: cluster-wide cost annotations in a
 traced response, the same JSON-versus-exposition agreement on the shards
-and the coordinator, and the profile / history endpoints on every tier.
+and the coordinator, the profile endpoint and ``top``'s window (on a
+shard, executed scans stand in for queries) on every tier, and one run of
+``python -m repro.obs.top`` against the coordinator.
 
 Exit status 0 on success, 1 with one line per failure — what the CI
 observability job keys off.  Run from the repository root::
@@ -33,13 +36,16 @@ observability job keys off.  Run from the repository root::
 from __future__ import annotations
 
 import json
+import subprocess
 import sys
 import tempfile
+import time
 import urllib.request
 from pathlib import Path
 
 from repro.ingest import IngestingIndex
 from repro.obs.prometheus import CONTENT_TYPE, parse_exposition, validate_exposition
+from repro.obs.top import scrape, window
 from repro.requirements import (
     GeneratorConfig,
     RequirementsGenerator,
@@ -210,13 +216,16 @@ def run_smoke() -> list[str]:
     with tempfile.TemporaryDirectory(prefix="obs-smoke-") as tmp:
         server, triples = build_server(Path(tmp))
         try:
-            # Traffic first, so counters and histograms are non-trivial.
+            # Traffic first, so counters and histograms are non-trivial;
+            # the scrapes around it bracket the window top would show.
             from repro.workloads import ServerClient
 
+            before, started = scrape(server.url), time.monotonic()
             with ServerClient(server.url) as client:
                 for triple in triples[:4]:
                     client.knn(triple, 3)
                     client.knn(triple, 3)       # cache hit
+            problems.extend(check_window(server.url, before, started, "server"))
 
             status, headers, raw = fetch(
                 f"{server.url}/v1/metrics?format=prometheus")
@@ -276,16 +285,6 @@ def run_smoke() -> list[str]:
                 problems.append("profile returned no stacks")
             elif not any("repro." in line for line in lines):
                 problems.append("no repro frames in the profile")
-
-            # History: force one window to close, then read it back.
-            server.app.history.tick()
-            status, _, raw_history = fetch(f"{server.url}/v1/history")
-            history = json.loads(raw_history)
-            entries = history.get("entries", [])
-            if not entries:
-                problems.append("history has no entries after a tick")
-            elif entries[-1].get("queries", 0) <= 0:
-                problems.append(f"history recorded no queries: {entries[-1]}")
         finally:
             server.close(checkpoint=False)
     return problems
@@ -339,6 +338,8 @@ def run_fleet_smoke() -> list[str]:
                 snapshot, {shard.partition_id: shard.url for shard in shards})
             fleet.append(coordinator)
 
+            before = {managed.url: scrape(managed.url) for managed in fleet}
+            started = time.monotonic()
             _, _, traced = post(
                 f"{coordinator.url}/v1/knn",
                 {"triple": triple_to_dict(triples[0]), "k": 5},
@@ -363,22 +364,43 @@ def run_fleet_smoke() -> list[str]:
                 problems.append(
                     "cluster-wide cost does not sum the shard scans")
 
-            # Both metrics formats agree, cost counters included; profile +
-            # history answer — on every tier of the fleet.
+            # Both metrics formats agree, cost counters included; the
+            # profile answers and top's window counts the traced query (a
+            # shard's scan) — on every tier of the fleet.
             for managed in fleet:
+                problems.extend(check_window(managed.url, before[managed.url],
+                                             started, managed.role))
                 problems.extend(compare_faces(managed.url, managed.role.split()[0]))
                 status, _, collapsed = fetch(
                     f"{managed.url}/v1/debug/profile"
                     "?seconds=0.2&format=collapsed")
                 if status != 200 or not collapsed.decode("utf-8").strip():
                     problems.append(f"{managed.role}: empty profile")
-                status, _, raw_history = fetch(f"{managed.url}/v1/history")
-                history = json.loads(raw_history)
-                if status != 200 or "entries" not in history:
-                    problems.append(f"{managed.role}: bad history payload")
+            problems.extend(check_top_cli(coordinator.url))
         finally:
             shutdown_processes(fleet)
     return problems
+
+
+def check_window(url: str, before, started: float, role: str) -> list[str]:
+    """``top``'s window from ``before`` to a scrape now must count queries."""
+    entry = window(scrape(url), before, time.monotonic() - started)
+    if entry["queries"] <= 0:
+        return [f"{role}: top's window counted no queries: {entry}"]
+    return []
+
+
+def check_top_cli(url: str) -> list[str]:
+    """``python -m repro.obs.top`` exits 0 and draws a window with a qps line."""
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.obs.top", "--url", url,
+         "--iterations", "2", "--interval", "0.2", "--no-clear"],
+        capture_output=True, text=True, timeout=60)
+    if done.returncode != 0:
+        return [f"repro.obs.top exited {done.returncode}: {done.stderr.strip()}"]
+    if not any(line.startswith("qps ") for line in done.stdout.splitlines()):
+        return [f"repro.obs.top drew no qps line: {done.stdout!r}"]
+    return []
 
 
 def main() -> int:
@@ -389,7 +411,7 @@ def main() -> int:
     if not problems:
         print("obs smoke: exposition valid, core series present, formats "
               "agree, tracing round-trips, cost accounting sums across the "
-              "fleet, profile and history answer on every tier")
+              "fleet, profile and top's windows answer on every tier")
     return 1 if problems else 0
 
 
