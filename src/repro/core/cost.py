@@ -13,7 +13,7 @@ A :class:`SearchCost` rides inside every search state
 inside :class:`~repro.cluster.transport.PartitionScan` payloads, is summed
 cluster-wide by the coordinator gather, and surfaces in
 :class:`~repro.core.semtree.SearchOutcome` → the serving metrics, the
-``debug.trace`` payload and the slow-query log.
+``debug.trace`` payload.
 
 The counters are deliberately plain integer attributes bumped inline (no
 locks, no callables): a search state is single-threaded, and the hot-path

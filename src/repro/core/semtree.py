@@ -15,12 +15,17 @@ insertion after the build is supported (:meth:`insert_triple`): new triples
 are projected with the already-fitted FastMap pivots and inserted into the
 distributed tree dynamically, which is exactly the paper's dynamic-insertion
 regime.
+
+The index is a *set* of triples, as an RDF graph is: a triple that already
+labels a stored point is never stored again, however it arrives (build,
+insertion, or a retried insertion).  Its provenance is a set too — each
+document id is kept once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.cluster.cluster import SimulatedCluster
 from repro.core.config import SemTreeConfig
@@ -117,6 +122,8 @@ class SemTreeIndex:
         self._tree: Optional[DistributedSemTree] = None
         self._pending: List[Triple] = []
         self._documents_of: Dict[Triple, List[str]] = {}
+        #: The triples that label a point in the tree (the set the rule checks).
+        self._present: Set[Triple] = set()
         self._generation = 0
 
     # -- accumulation phase --------------------------------------------------------------
@@ -127,9 +134,17 @@ class SemTreeIndex:
         if document_id is not None:
             self.register_provenance(triple, document_id)
 
-    def register_provenance(self, triple: Triple, document_id: str) -> None:
-        """Remember that ``triple`` came from ``document_id`` (match dressing)."""
-        self._documents_of.setdefault(triple, []).append(document_id)
+    def register_provenance(self, triple: Triple, document_id: str) -> bool:
+        """Remember that ``triple`` came from ``document_id`` (match dressing).
+
+        Returns ``False`` when the id was already registered for the triple:
+        each id is kept once.
+        """
+        known = self._documents_of.setdefault(triple, [])
+        if document_id in known:
+            return False
+        known.append(document_id)
+        return True
 
     def documents_of(self, triple: Triple) -> Tuple[str, ...]:
         """The document identifiers registered for ``triple`` (may be empty)."""
@@ -166,15 +181,16 @@ class SemTreeIndex:
         IndexError_
             If fewer than two distinct triples have been registered.
         """
-        distinct = list(dict.fromkeys(self._pending))
+        distinct = dict.fromkeys(self._pending)
         if len(distinct) < 2:
             raise IndexError_("SemTree needs at least two distinct triples to build")
-        self.embedder.fit(distinct)
+        self.embedder.fit(list(distinct))
         dimensions = self.embedder.output_dimensions
         tree_config = self.config.with_updates(dimensions=dimensions)
         self._tree = DistributedSemTree(tree_config, cluster=self.cluster)
         for triple in distinct:
             self._tree.insert(self._point_for(triple))
+        self._present = set(distinct)
         self._pending = []
         self._generation += 1
         return self
@@ -231,10 +247,20 @@ class SemTreeIndex:
 
         The triple is projected with the existing FastMap pivots; the vector
         space is *not* refitted, matching the paper's incremental regime.
+        A triple already present adds no point: a new ``document_id`` only
+        extends its provenance, and moves the generation, because cached
+        matches carry the provenance they were dressed with.
         """
+        tree = self.tree
+        if triple in self._present:
+            if document_id is not None and self.register_provenance(triple, document_id):
+                self._generation += 1
+            return
+        point = self._point_for(triple)
         if document_id is not None:
             self.register_provenance(triple, document_id)
-        self.tree.insert(self._point_for(triple))
+        tree.insert(point)
+        self._present.add(triple)
         self._generation += 1
 
     def insert_triples(self, triples: Iterable[Triple]) -> None:
@@ -254,6 +280,7 @@ class SemTreeIndex:
         count = 0
         for point in points:
             self.tree.insert(point)
+            self._present.add(point.label)
             count += 1
         if count:
             self._generation += 1
@@ -261,6 +288,10 @@ class SemTreeIndex:
 
     def __len__(self) -> int:
         return len(self._tree) if self._tree is not None else 0
+
+    def __contains__(self, triple: object) -> bool:
+        """True when a point labelled with ``triple`` is in the tree."""
+        return triple in self._present
 
     # -- query phase ------------------------------------------------------------------------------
 

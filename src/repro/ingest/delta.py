@@ -21,7 +21,7 @@ tuples, so readers merge against a frozen prefix of the insert stream
 from __future__ import annotations
 
 import threading
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -45,6 +45,7 @@ class DeltaIndex:
     def __init__(self, scan_kernel: str = DEFAULT_SCAN_KERNEL) -> None:
         self._lock = threading.Lock()
         self._points: List[LabeledPoint] = []
+        self._labels: Set[Any] = set()
         self._last_seq = 0
         self.scan_kernel = validate_scan_kernel(scan_kernel)
         self._matrix: Optional[np.ndarray] = None
@@ -55,6 +56,7 @@ class DeltaIndex:
         """Append one projected point, carrying its WAL sequence number."""
         with self._lock:
             self._points.append(point)
+            self._labels.add(point.label)
             self._last_seq = seq
             self._matrix = None
 
@@ -68,6 +70,7 @@ class DeltaIndex:
         with self._lock:
             points = tuple(self._points)
             self._points = []
+            self._labels = set()
             self._matrix = None
             return points, self._last_seq
 
@@ -133,6 +136,11 @@ class DeltaIndex:
     def __len__(self) -> int:
         with self._lock:
             return len(self._points)
+
+    def __contains__(self, label: object) -> bool:
+        """True when a delta point carries ``label`` (a triple)."""
+        with self._lock:
+            return label in self._labels
 
     def __repr__(self) -> str:
         return f"DeltaIndex(points={len(self)}, last_seq={self.last_seq})"

@@ -6,7 +6,10 @@ This class removes that rule with the standard LSM recipe on top of
 
 * **inserts** append to a :class:`~repro.ingest.wal.WriteAheadLog` (crash
   durability) and land in a :class:`~repro.ingest.delta.DeltaIndex` — an
-  in-memory linear-scan segment that is immediately queryable;
+  in-memory linear-scan segment that is immediately queryable.  The index
+  is a set of triples: a triple already present in the tree or the delta
+  adds no point, so retrying an insert, or replaying its record, is a
+  no-op;
 * **reads** answer from tree ∪ delta with exact merge semantics (identical
   to a from-scratch rebuild) and run under the *read* side of a
   :class:`~repro.ingest.rwlock.ReadWriteLock`, so they interleave freely
@@ -129,24 +132,30 @@ class IngestingIndex:
                    compaction_threshold=compaction_threshold)
 
     def _apply_record(self, record: WalRecord) -> None:
-        point = self.base.embed_query(record.triple)
-        if record.document_id is not None:
-            # Idempotent on the replay path: a checkpoint snapshot persists
-            # the provenance map as of save time, which covers the WAL-tail
-            # records too (insert registers provenance before returning, and
-            # the snapshot is taken under the write lock).  Re-registering
-            # here would duplicate those document ids and make recovered
-            # matches unequal to the pre-crash ones.  Records appended after
-            # the snapshot (or replayed over a freshly rebuilt base) are not
-            # in the map yet and do get registered.
-            if record.document_id not in self.base.documents_of(record.triple):
-                self.base.register_provenance(record.triple, record.document_id)
-        self.delta.add(point, record.seq)
+        self._apply(record.triple, record.document_id,
+                    self.base.embed_query(record.triple), record.seq)
+
+    def _apply(self, triple: Triple, document_id: Optional[str],
+               point: LabeledPoint, seq: int) -> None:
+        """Stage one logged insert under the set rule (insert and replay alike).
+
+        A triple in the tree only gains provenance, through the base index's
+        own rule (which moves the generation, so cached matches re-dress).
+        A triple in the delta gains provenance too; its matches are dressed
+        on every read.  Anything else is a new point.
+        """
+        if triple in self.base:
+            self.base.insert_triple(triple, document_id=document_id)
+            return
+        if document_id is not None:
+            self.base.register_provenance(triple, document_id)
+        if triple not in self.delta:
+            self.delta.add(point, seq)
 
     # -- the write path -----------------------------------------------------------------
 
     def insert(self, triple: Triple, *, document_id: str | None = None) -> int:
-        """Project, log and stage one triple; returns its WAL sequence number.
+        """Project, log and stage one triple; returns a WAL sequence number.
 
         The triple is queryable the moment this returns.  It is projected
         first, outside every lock, so a triple that cannot be projected is
@@ -154,14 +163,23 @@ class IngestingIndex:
         run as *readers* of the tree lock: any number of inserts interleave
         with queries, and only an in-flight compaction (a writer) briefly
         delays them.
+
+        A triple already present brings at most a new ``document_id``; when
+        it brings none, nothing is logged and the returned sequence number
+        is the WAL's last, whose prefix holds the triple.  The check and
+        the write share ``_insert_lock``, so concurrent identical inserts
+        leave one point.
         """
         point = self.base.embed_query(triple)
         with self._lock.read():
             with self._insert_lock:
-                seq = self.wal.append(triple, document_id=document_id)
-                if document_id is not None:
-                    self.base.register_provenance(triple, document_id)
-                self.delta.add(point, seq)
+                if ((triple in self.base or triple in self.delta)
+                        and (document_id is None
+                             or document_id in self.base.documents_of(triple))):
+                    seq = self.wal.last_seq
+                else:
+                    seq = self.wal.append(triple, document_id=document_id)
+                    self._apply(triple, document_id, point, seq)
         self.metrics.record_insert()
         return seq
 
@@ -199,16 +217,18 @@ class IngestingIndex:
 
         Takes the write lock, drains the delta, inserts every point into the
         tree and bumps the generation exactly once.  Returns the number of
-        points folded (0 when the delta was empty — and then nothing moves,
-        the generation included).
+        points folded (0 when the delta was empty — and then the generation
+        stays).
         """
         started = time.perf_counter()
         with self._lock.write():
-            points, through_seq = self.delta.drain()
-            if not points:
-                return 0
+            points, _ = self.delta.drain()
             folded = self.base.absorb_points(points)
-            self._applied_seq = through_seq
+            # Every logged record is now in the tree or the provenance map,
+            # a provenance-only record (which staged no point) included.
+            self._applied_seq = self.wal.last_seq
+        if not folded:
+            return 0
         self.metrics.record_compaction(folded, time.perf_counter() - started)
         return folded
 
@@ -347,7 +367,7 @@ class IngestingIndex:
 
     @property
     def applied_seq(self) -> int:
-        """Highest WAL sequence number folded into the tree."""
+        """Highest WAL sequence number the tree and provenance map cover."""
         return self._applied_seq
 
     def statistics(self) -> Dict[str, object]:

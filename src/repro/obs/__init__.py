@@ -9,8 +9,7 @@ Three pillars, threaded through every serving layer:
 * :mod:`repro.obs.tracing` — per-request trace ids propagated over the
   ``X-Trace-Id`` header, with per-stage spans recorded context-locally
   and returned in an opt-in ``debug.trace`` response section.
-* :mod:`repro.obs.logging` — structured JSON logs correlated by trace id,
-  plus the threshold-configurable slow-query log.
+* :mod:`repro.obs.logging` — structured JSON logs correlated by trace id.
 * :mod:`repro.obs.profile` — a sampling profiler over
   ``sys._current_frames()`` behind ``GET /v1/debug/profile``.
 * :mod:`repro.obs.top` — a live terminal view that windows two
@@ -19,8 +18,7 @@ Three pillars, threaded through every serving layer:
 See ``docs/observability.md`` for the full contract.
 """
 
-from repro.obs.logging import (JsonLogFormatter, SlowQueryLog,
-                               configure_logging, get_logger)
+from repro.obs.logging import JsonLogFormatter, configure_logging, get_logger
 from repro.obs.profile import SamplingProfiler, profile_endpoint
 from repro.obs.prometheus import (CONTENT_TYPE, parse_exposition,
                                   render_exposition, validate_exposition)
@@ -35,7 +33,6 @@ __all__ = [
     "JsonLogFormatter",
     "MetricsRegistry",
     "SamplingProfiler",
-    "SlowQueryLog",
     "Trace",
     "activate",
     "annotate_span",

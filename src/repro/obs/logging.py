@@ -1,4 +1,4 @@
-"""Structured JSON logging with trace-id correlation, plus the slow-query log.
+"""Structured JSON logging with trace-id correlation.
 
 Log records are rendered as one JSON object per line: timestamp, level,
 logger, message, the active trace id (from :mod:`repro.obs.tracing`, or an
@@ -7,34 +7,23 @@ attached.  Libraries log through :func:`get_logger` without configuring
 anything — records are dropped unless an entry point called
 :func:`configure_logging`, so embedding the server in tests or benchmarks
 stays silent by default while ``caplog`` still sees every record.
-
-:class:`SlowQueryLog` is the threshold-configurable slow-query channel:
-any executed query slower than the threshold is logged at WARNING on
-``repro.slow_query`` with its shape, visited partitions, and span
-breakdown.  The default threshold comes from ``REPRO_SLOW_QUERY_MS``
-(unset == disabled).
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import os
 import sys
 import threading
-from typing import IO, Dict, Optional, Sequence
+from typing import IO, Dict, Optional
 
 from repro.obs import tracing
 
 __all__ = [
     "JsonLogFormatter",
-    "SlowQueryLog",
     "configure_logging",
     "get_logger",
 ]
-
-SLOW_QUERY_ENV = "REPRO_SLOW_QUERY_MS"
-SLOW_QUERY_LOGGER = "repro.slow_query"
 
 #: Attributes every LogRecord carries; anything else came in via ``extra``.
 _STANDARD_ATTRS = frozenset(vars(logging.makeLogRecord({}))) | {
@@ -105,82 +94,3 @@ def configure_logging(level: int = logging.INFO,
         root.addHandler(handler)
         root.propagate = False
     return root
-
-
-def _threshold_from_env() -> Optional[float]:
-    raw = os.environ.get(SLOW_QUERY_ENV)
-    if raw is None or not raw.strip():
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        return None
-
-
-class SlowQueryLog:
-    """Log executed queries slower than a millisecond threshold.
-
-    ``threshold_ms=None`` (the default) reads ``REPRO_SLOW_QUERY_MS`` from
-    the environment; when that is unset too, the log is disabled and
-    :meth:`observe` is a cheap comparison.
-    """
-
-    def __init__(self, threshold_ms: Optional[float] = None,
-                 logger: Optional[logging.Logger] = None):
-        self.threshold_ms = threshold_ms if threshold_ms is not None else _threshold_from_env()
-        self._logger = logger or logging.getLogger(SLOW_QUERY_LOGGER)
-        self._lock = threading.Lock()
-        self._logged = 0
-
-    @property
-    def enabled(self) -> bool:
-        """Whether a threshold is configured."""
-        return self.threshold_ms is not None
-
-    @property
-    def logged(self) -> int:
-        """How many slow queries have been logged."""
-        with self._lock:
-            return self._logged
-
-    def observe(self, *, kind: str, latency_seconds: float,
-                query: Optional[Dict[str, object]] = None,
-                visited_partitions: Sequence[str] = (),
-                cached: bool = False,
-                trace: Optional[tracing.Trace] = None,
-                cost: Optional[Dict[str, int]] = None) -> bool:
-        """Log one served query if it crossed the threshold; returns whether it did.
-
-        ``cost`` is the query's cost-counter breakdown (already a plain
-        dictionary) — attached so a slow-query record explains *why* it was
-        slow (distance computations, buckets scanned) and not just how long
-        it took.
-        """
-        threshold = self.threshold_ms
-        if threshold is None:
-            return False
-        latency_ms = latency_seconds * 1000.0
-        if latency_ms < threshold:
-            return False
-        with self._lock:
-            self._logged += 1
-        if trace is None:
-            trace = tracing.current_trace()
-        extra: Dict[str, object] = {
-            "event": "slow_query",
-            "kind": kind,
-            "latency_ms": latency_ms,
-            "threshold_ms": threshold,
-            "cached": cached,
-            "visited_partitions": list(visited_partitions),
-        }
-        if query:
-            extra["query"] = query
-        if cost:
-            extra["cost"] = dict(cost)
-        if trace is not None:
-            extra["trace_id"] = trace.trace_id
-            extra["spans"] = trace.to_dict()["spans"]
-        self._logger.warning("slow query: %s took %.1f ms", kind, latency_ms,
-                             extra=extra)
-        return True

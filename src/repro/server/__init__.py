@@ -9,13 +9,14 @@ clients that are not the process that built it:
   :class:`Triple`, result rendering, structured JSON errors;
 * :mod:`repro.server.shell` — :class:`ServiceShell` / :class:`EngineShell`,
   what every serving tier shares: request counters, the close-once
-  lifecycle, the metrics registry, slow-query log and profiler, the
+  lifecycle, the metrics registry and profiler, the
   health / metrics / profile routes and (engine-backed
   tiers) the ``/v1/knn`` / ``/v1/range`` handler;
 * :mod:`repro.server.app` — :class:`ServerApp`, the full single-node tier:
   queries through :class:`~repro.service.engine.QueryEngine` (batched,
   cached, deadline-bounded), inserts through
-  :class:`~repro.ingest.ingesting.IngestingIndex` (WAL + delta), the
+  :class:`~repro.ingest.ingesting.IngestingIndex` (WAL + delta; the index
+  is a set of triples, so every insert is safe to retry), the
   unified ``/v1/metrics`` payload, graceful close with
   checkpoint-on-exit;
 * :mod:`repro.server.shard` — :class:`ShardApp`, one partition's raw scan

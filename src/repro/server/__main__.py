@@ -119,7 +119,7 @@ def _shard_app(args: argparse.Namespace) -> ShardApp:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     server, args = build_server(argv)
-    # Structured JSON logs on stderr: access lines, slow queries, warnings.
+    # Structured JSON logs on stderr: access lines and warnings.
     # --quiet keeps warnings only (matching the old silent default).
     # Configured here, not in build_server, so embedding the builder (tests,
     # notebooks) never rewires the process's logging.

@@ -27,23 +27,15 @@ sets are documented in ``docs/server.md`` and locked down by
 from __future__ import annotations
 
 import pathlib
-import threading
-from collections import OrderedDict
 from typing import Any, Dict, Optional
 
 from repro.errors import QueryError
 from repro.ingest.ingesting import IngestingIndex
-from repro.server.context import current_context
 from repro.server.schemas import PartialInsertError, parse_insert_request
 from repro.server.shell import EngineShell
 from repro.service.snapshot import config_to_dict
 
 __all__ = ["ServerApp"]
-
-#: Most remembered ``Idempotency-Key`` → response replays; least recently
-#: used keys fall out first.  Sized for the retry window the keys exist to
-#: cover (seconds, not sessions).
-IDEMPOTENCY_CACHE_LIMIT = 1024
 
 #: Zeroed compaction sub-dictionary, so the metrics schema is stable before
 #: the first compaction lands.
@@ -82,11 +74,6 @@ class ServerApp(EngineShell):
                 "ServerApp serves an IngestingIndex (wrap the built index so "
                 f"inserts hit the WAL + delta path), got {type(index).__name__}"
             )
-        self._idempotency_lock = threading.Lock()
-        self._idempotency: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-        # Keys whose request is applying its batch right now; a concurrent
-        # request with the same key waits on the event.
-        self._claims: Dict[str, threading.Event] = {}
         self.checkpoint_path = (
             pathlib.Path(checkpoint_path) if checkpoint_path is not None else None
         )
@@ -139,64 +126,12 @@ class ServerApp(EngineShell):
         the response is sent.  The response reports the WAL sequence numbers
         so a client can correlate with checkpoints.  A request whose batch
         takes the delta to the compaction threshold folds it before
-        answering.
-
-        Sending an ``Idempotency-Key`` header makes the write safely
-        retryable: a replayed key returns the original response (flagged
-        ``"deduplicated": true``) instead of applying the batch again.
-        That is what lets the HTTP client retry an insert whose first
-        attempt died on a stale keep-alive socket *after* the server may
-        already have applied it.  A request whose key is still being
-        applied by another waits for it, then replays its response.
+        answering.  The index is a set of triples, so a triple already
+        present adds no point: any insert may be retried, and a retry that
+        finds its first attempt applied changes nothing.
         """
         self._check_open()
         self._count("insert")
-        idempotency_key = current_context().idempotency_key
-        if idempotency_key is None:
-            response = self._apply_inserts(body)
-        else:
-            replay = self._claim(idempotency_key)
-            if replay is not None:
-                return {**replay, "deduplicated": True}
-            try:
-                response = self._apply_inserts(body)
-                # Remember only fully applied batches: a partial failure must
-                # surface on the retry too, not replay as a success.
-                with self._idempotency_lock:
-                    self._idempotency[idempotency_key] = response
-                    while len(self._idempotency) > IDEMPOTENCY_CACHE_LIMIT:
-                        self._idempotency.popitem(last=False)
-            finally:
-                with self._idempotency_lock:
-                    self._claims.pop(idempotency_key).set()
-        # The request that crossed the threshold folds, outside every index
-        # lock and after the batch is recorded: a failed fold must not turn
-        # a keyed retry into a second application.
-        if self.index.maybe_compact() and "delta_points" in response:
-            response["delta_points"] = len(self.index.delta)
-        return response
-
-    def _claim(self, key: str) -> Optional[Dict[str, Any]]:
-        """Claim ``key`` for this request, or return the response it recorded.
-
-        While another request holds the claim, wait for it to finish: if it
-        recorded a response, that is the replay; if it failed, nothing was
-        recorded, and this request claims the key and applies the batch.
-        """
-        while True:
-            with self._idempotency_lock:
-                replay = self._idempotency.get(key)
-                if replay is not None:
-                    self._idempotency.move_to_end(key)
-                    return replay
-                holder = self._claims.get(key)
-                if holder is None:
-                    self._claims[key] = threading.Event()
-                    return None
-            holder.wait()
-
-    def _apply_inserts(self, body: Any) -> Dict[str, Any]:
-        """Parse and apply one insert body; the response to send for it."""
         inserts, batched = parse_insert_request(body)
         sequences: list = []
         try:
@@ -205,7 +140,7 @@ class ServerApp(EngineShell):
         except Exception as error:
             if sequences:
                 # The applied prefix is WAL-durable and queryable; tell the
-                # client exactly what landed so a retry can skip it.
+                # client exactly what landed (retrying the batch is safe).
                 raise PartialInsertError(
                     f"insert {len(sequences) + 1} of {len(inserts)} failed: "
                     f"{type(error).__name__}: {error}",
@@ -213,6 +148,9 @@ class ServerApp(EngineShell):
                     first_seq=sequences[0], last_seq=sequences[-1],
                 ) from error
             raise
+        # The request that crossed the threshold folds, outside every index
+        # lock and after the batch is applied.
+        self.index.maybe_compact()
         if batched:
             return {
                 "accepted": len(sequences),

@@ -123,7 +123,7 @@ def vocabulary_hints(triples: Iterable[Triple]) -> Tuple[List[str], Dict[str, Li
 
     Subjects in the default (empty-prefix) vocabulary are actors; objects
     whose prefix is one of the case study's parameter prefixes contribute
-    parameter values.  Both lists are deduplicated, first-seen order.
+    parameter values.  Both lists hold each value once, first-seen order.
     """
     actors: Dict[str, None] = {}
     parameters: Dict[str, Dict[str, None]] = {}

@@ -45,10 +45,6 @@ def add_serving_options(parser: argparse.ArgumentParser) -> None:
                              "stored in the snapshot (names future inserts may "
                              "mention; a coordinator must be given the same "
                              "list as the server that wrote the snapshot)")
-    parser.add_argument("--slow-query-ms", type=float, default=None,
-                        help="log executed queries slower than this many "
-                             "milliseconds as structured JSON on repro.slow_query "
-                             "(default: REPRO_SLOW_QUERY_MS, unset = disabled)")
     parser.add_argument("--profile", action="store_true",
                         help="run a continuous sampling profiler; read it back "
                              "at GET /v1/debug/profile")
@@ -86,7 +82,6 @@ def fault_plan_from(args: argparse.Namespace) -> Optional[FaultPlan]:
 def shell_options(args: argparse.Namespace) -> Dict[str, Any]:
     """:class:`~repro.server.shell.ServiceShell` keyword arguments."""
     return {
-        "slow_query_ms": args.slow_query_ms,
         "profiler": SamplingProfiler().start() if args.profile else None,
     }
 

@@ -1,11 +1,10 @@
 """Per-request client context, carried on a contextvar.
 
-The HTTP handler stashes the identity headers of the request it is serving
-— ``X-Client-Id`` (admission control's rate-limit key) and
-``Idempotency-Key`` (the insert-dedup key) — so the app layer can read
-them without threading header plumbing through every ``post_routes``
-callable, whose signature is shared by apps that will never care
-(:class:`~repro.server.shard.ShardApp` has neither clients nor inserts).
+The HTTP handler stashes the identity header of the request it is serving
+— ``X-Client-Id``, admission control's rate-limit key — so the app layer
+can read it without threading header plumbing through every
+``post_routes`` callable, whose signature is shared by apps that will
+never care (:class:`~repro.server.shard.ShardApp` has no clients).
 
 A contextvar, not a thread-local: the value is scoped to the request that
 set it (the ``request_context`` manager restores the previous value on
@@ -21,26 +20,22 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 __all__ = ["RequestContext", "current_context", "request_context",
-           "CLIENT_ID_HEADER", "IDEMPOTENCY_KEY_HEADER"]
+           "CLIENT_ID_HEADER"]
 
 #: The header admission control keys per-client rate limits on.
 CLIENT_ID_HEADER = "X-Client-Id"
 
-#: The header that makes a ``POST /v1/insert`` safely retryable.
-IDEMPOTENCY_KEY_HEADER = "Idempotency-Key"
-
-#: Longest accepted header value; anything longer is truncated (the keys
-#: index bounded in-memory maps — unbounded attacker-chosen strings must
-#: not become unbounded memory).
+#: Longest accepted header value; anything longer is truncated (client ids
+#: key admission control's bucket map — unbounded attacker-chosen strings
+#: must not become unbounded memory).
 MAX_VALUE_LENGTH = 256
 
 
 @dataclass(frozen=True, slots=True)
 class RequestContext:
-    """The identity headers of the request currently being served."""
+    """The identity header of the request currently being served."""
 
     client_id: Optional[str] = None
-    idempotency_key: Optional[str] = None
 
 
 _EMPTY = RequestContext()
@@ -62,11 +57,9 @@ def current_context() -> RequestContext:
 
 
 @contextlib.contextmanager
-def request_context(*, client_id: Optional[str] = None,
-                    idempotency_key: Optional[str] = None) -> Iterator[RequestContext]:
-    """Install a request's identity headers for the duration of a block."""
-    context = RequestContext(client_id=_clean(client_id),
-                             idempotency_key=_clean(idempotency_key))
+def request_context(*, client_id: Optional[str] = None) -> Iterator[RequestContext]:
+    """Install a request's identity header for the duration of a block."""
+    context = RequestContext(client_id=_clean(client_id))
     token = _current.set(context)
     try:
         yield context

@@ -554,8 +554,7 @@ class SemTreeServer:
         admission = self.app.admission
         if admission is not None and admission.enabled:
             return None
-        headers = request.headers
-        if "X-Debug-Trace" in headers or "Idempotency-Key" in headers:
+        if "X-Debug-Trace" in request.headers:
             return None
         body = request.body
         # Deadlines and partial-result opt-ins make answers time- or

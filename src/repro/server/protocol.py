@@ -40,8 +40,7 @@ from repro import __version__
 from repro.faults import FaultPlan, FaultSpec
 from repro.obs import logging as obs_logging
 from repro.obs.tracing import Trace, activate, sanitize_trace_id, span
-from repro.server.context import (CLIENT_ID_HEADER, IDEMPOTENCY_KEY_HEADER,
-                                  request_context)
+from repro.server.context import CLIENT_ID_HEADER, request_context
 from repro.server.schemas import error_body, status_for
 
 __all__ = [
@@ -594,10 +593,7 @@ class Dispatcher:
         route = request.route
         with activate(trace):
             with span("request", method=request.method, path=route):
-                with request_context(
-                    client_id=request.headers.get(CLIENT_ID_HEADER),
-                    idempotency_key=request.headers.get(IDEMPOTENCY_KEY_HEADER),
-                ):
+                with request_context(client_id=request.headers.get(CLIENT_ID_HEADER)):
                     response = self._respond(request, trace, route)
         response.trace_id = trace.trace_id
         if response.reset:

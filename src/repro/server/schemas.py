@@ -324,8 +324,8 @@ class PartialInsertError(RuntimeError):
     Deliberately *not* a :class:`ReproError`: the batch passed schema
     validation, so a mid-batch failure is a storage-layer event and maps to
     500.  ``details`` (surfaced in the error body) tells the client exactly
-    what was applied, because those inserts are WAL-durable and queryable —
-    a blind retry of the whole batch would duplicate them.
+    what was applied: those inserts are WAL-durable and queryable, and a
+    retry of the whole batch adds nothing for them.
     """
 
     def __init__(self, message: str, *, accepted: int, first_seq: int, last_seq: int):

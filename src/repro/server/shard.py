@@ -81,8 +81,7 @@ class ShardApp(ServiceShell):
         :func:`~repro.server.bootstrap.load_shard` (CLI path) or
         :meth:`from_index` (in-process tests and benchmarks).
 
-    Remaining keyword arguments are :class:`~repro.server.shell.ServiceShell`'s
-    (a slow *scan* is a slow query from the shard's view).
+    Remaining keyword arguments are :class:`~repro.server.shell.ServiceShell`'s.
     """
 
     role = "shard"
@@ -194,9 +193,6 @@ class ShardApp(ServiceShell):
         for counter_name, value in cost_counters.items():
             if value:
                 self._cost_totals.labels(counter_name).inc(value)
-        self.slow_query_log.observe(kind=endpoint, latency_seconds=elapsed,
-                                    visited_partitions=(self.partition_id,),
-                                    cost=cost_counters)
         row_of = self._row_of
         return render_partition_scan(
             self.partition_id, self.rows_id,

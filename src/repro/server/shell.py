@@ -6,10 +6,9 @@ handlers is the same for all three and lives here:
 
 * :class:`ServiceShell` — the per-endpoint request counter, uptime, the
   close-once lifecycle (``closed`` / ``_check_open`` / ``close``), the
-  metrics registry, the slow-query log, the optional
-  continuous profiler, and the routes every tier answers:
-  ``/v1/healthz``, ``/v1/metrics`` (JSON and ``?format=prometheus``),
-  ``/v1/debug/profile``.
+  metrics registry, the optional continuous profiler, and the routes
+  every tier answers: ``/v1/healthz``, ``/v1/metrics`` (JSON and
+  ``?format=prometheus``), ``/v1/debug/profile``.
 * :class:`EngineShell` — additionally, what the two engine-backed tiers
   share: a :class:`~repro.service.engine.QueryEngine` behind an
   :class:`~repro.service.admission.AdmissionController`, the
@@ -41,10 +40,9 @@ from repro import __version__
 from repro.errors import QueryError, ServerClosingError
 from repro.io.serialization import json_ready
 from repro.obs import prometheus as obs_prometheus
-from repro.obs.logging import SlowQueryLog
 from repro.obs.profile import SamplingProfiler, profile_endpoint
 from repro.obs.registry import MetricsRegistry
-from repro.obs.tracing import current_trace, span
+from repro.obs.tracing import span
 from repro.server.context import current_context
 from repro.server.schemas import parse_query_request, render_results
 from repro.service.admission import AdmissionController
@@ -67,9 +65,6 @@ class ServiceShell:
 
     Parameters
     ----------
-    slow_query_ms:
-        Slow-query log threshold; ``None`` falls back to
-        ``$REPRO_SLOW_QUERY_MS`` (unset = disabled).
     profiler:
         A continuously running profiler (``--profile``); optional — the
         on-demand ``/v1/debug/profile`` endpoint works without one.
@@ -85,12 +80,10 @@ class ServiceShell:
     admission: Optional[AdmissionController] = None
     admitted_routes: frozenset = frozenset()
 
-    def __init__(self, *, slow_query_ms: float | None = None,
-                 profiler: SamplingProfiler | None = None):
+    def __init__(self, *, profiler: SamplingProfiler | None = None):
         self._started = time.monotonic()
         self._close_lock = threading.Lock()
         self._closed = False
-        self.slow_query_log = SlowQueryLog(slow_query_ms)
         self.registry = MetricsRegistry()
         # ``repro_build_info`` carries role and version as labels with a
         # constant 1: the conventional way to make build metadata joinable.
@@ -220,20 +213,6 @@ class ServiceShell:
         return None
 
 
-def _query_shape(spec: QuerySpec) -> Dict[str, Any]:
-    """The slow-query log's description of one query (no payload data)."""
-    shape: Dict[str, Any] = {"kind": spec.kind.value}
-    if spec.kind is QueryKind.KNN:
-        shape["k"] = spec.k
-    else:
-        shape["radius"] = spec.radius
-    if spec.pattern is not None:
-        shape["pattern"] = repr(spec.pattern)
-    if spec.deadline is not None:
-        shape["deadline"] = spec.deadline
-    return shape
-
-
 def _strictest_deadline(specs: List[QuerySpec],
                         default: Optional[float]) -> Optional[float]:
     """The tightest deadline in a batch (what admission judges the wait by)."""
@@ -316,8 +295,6 @@ class EngineShell(ServiceShell):
                 client_id=current_context().client_id,
             )
         results = self.engine.execute_batch(specs)
-        if self.slow_query_log.enabled:
-            self._observe_slow_queries(results)
         if not batched:
             self._check_single_result(results[0])
         with span("render"):
@@ -327,21 +304,6 @@ class EngineShell(ServiceShell):
         """Hook: raise to answer a single (un-batched) query with an error
         status instead of rendering ``result`` (which may carry a per-result
         error field, as every batched result does)."""
-
-    def _observe_slow_queries(self, results) -> None:
-        trace = current_trace()
-        for result in results:
-            if result.cached:
-                continue
-            self.slow_query_log.observe(
-                kind=result.spec.kind.value,
-                latency_seconds=result.latency_seconds,
-                query=_query_shape(result.spec),
-                visited_partitions=result.visited_partitions,
-                cached=result.cached,
-                trace=trace,
-                cost=result.cost.to_dict() if result.cost is not None else None,
-            )
 
     # -- the metrics payload ------------------------------------------------------------
 

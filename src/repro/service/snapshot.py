@@ -207,6 +207,10 @@ def load_index_payload(payload: Dict[str, Any], distance: TripleDistance, *,
         tree_config, partition_roots, size=int(tree_payload["size"]),
         cluster=index.cluster,
     )
+    # Presence comes from the stored points' labels, never from the
+    # provenance map: a checkpoint taken without folding first persists
+    # provenance for triples that live only in the WAL tail.
+    index._present = {point.label for point in index._tree.points()}
     index._documents_of = {
         triple_from_dict(entry["triple"]): list(entry["document_ids"])
         for entry in payload.get("documents", [])

@@ -16,11 +16,10 @@ per calling thread (the servers speak HTTP/1.1 with Content-Length
 framing, so keep-alive is free).  No ``http.client``: its ``email``-based
 header parser costs more than a partition scan.  A request that hits a
 *stale* keep-alive socket — the server closed an idle connection between
-requests — is retried exactly once on a fresh connection; the retry only
-fires for idempotent requests (GETs, the read-only query/scan POSTs, and
-writes carrying an ``Idempotency-Key``) whose failure arrived before a
-byte of response on a previously used socket, so an insert is never
-replayed blindly.
+requests — is retried exactly once on a fresh connection, when the failure
+arrived before a byte of response on a previously used socket.  Every
+request is safe to replay: reads change nothing, and the index is a set
+of triples, so an insert whose first attempt did land adds nothing again.
 """
 
 from __future__ import annotations
@@ -44,11 +43,6 @@ __all__ = ["ServerClient"]
 #: How a reused keep-alive socket fails when the server closed it idle
 #: (the retry rule is :meth:`ServerClient._round_trip`'s).
 _STALE_SOCKET_ERRORS = (BrokenPipeError, ConnectionResetError, ConnectionAbortedError)
-
-#: POST endpoints that are pure reads: replaying one cannot change state.
-_IDEMPOTENT_POST_PATHS = frozenset(
-    {"/v1/knn", "/v1/range", "/v1/shard/knn", "/v1/shard/range"}
-)
 
 
 def _server_error(response: ParsedResponse) -> ServerError:
@@ -151,17 +145,10 @@ class ServerClient:
 
     def request(self, method: str, path: str,
                 body: Optional[Dict[str, Any]] = None, *,
-                headers: Optional[Dict[str, str]] = None,
-                idempotent: Optional[bool] = None) -> Dict[str, Any]:
-        """One HTTP round trip; non-2xx responses raise :class:`ServerError`.
-
-        ``idempotent`` overrides the path-based safe-to-retry inference — an
-        insert carrying an ``Idempotency-Key`` sets it true (the server
-        deduplicates a replay), everything else relies on the default.
-        """
+                headers: Optional[Dict[str, str]] = None) -> Dict[str, Any]:
+        """One HTTP round trip; non-2xx responses raise :class:`ServerError`."""
         data = json.dumps(body).encode("utf-8") if body is not None else None
-        raw, response = self.request_bytes(method, path, data, headers=headers,
-                                           idempotent=idempotent)
+        raw, response = self.request_bytes(method, path, data, headers=headers)
         try:
             return json.loads(raw)
         except ValueError as error:
@@ -176,7 +163,6 @@ class ServerClient:
     def request_bytes(self, method: str, path: str,
                       data: Optional[bytes] = None, *,
                       headers: Optional[Dict[str, str]] = None,
-                      idempotent: Optional[bool] = None,
                       ) -> Tuple[bytes, ParsedResponse]:
         """One round trip over pre-encoded bytes, skipping response decoding.
 
@@ -185,8 +171,6 @@ class ServerClient:
         throughput measurement.  Errors still decode — a 4xx/5xx raises the
         same structured :class:`ServerError` as :meth:`request`.
         """
-        if idempotent is None:
-            idempotent = method == "GET" or path in _IDEMPOTENT_POST_PATHS
         head = f"{method} {self._path_prefix}{path}{self._host_line}"
         trace = current_trace()
         if trace is not None:
@@ -200,8 +184,7 @@ class ServerClient:
             # as carrying an unread body and costs the keep-alive connection.
             data = data or b""
             head += f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n"
-        response = self._round_trip(head.encode("latin-1") + b"\r\n" + (data or b""),
-                                    idempotent)
+        response = self._round_trip(head.encode("latin-1") + b"\r\n" + (data or b""))
         if response.status >= 400:
             raise _server_error(response)
         return response.body, response
@@ -212,16 +195,16 @@ class ServerClient:
         if sock is not None:
             sock.close()
 
-    def _round_trip(self, message: bytes, idempotent: bool) -> ParsedResponse:
+    def _round_trip(self, message: bytes) -> ParsedResponse:
         """Send one request over the calling thread's socket; read the response.
 
         A stale keep-alive socket (reused, and closed before any response
-        byte) is retried exactly once on a fresh connection — but only for
-        *idempotent* requests: a reused-socket close proves the server shut
-        the connection, not that it never processed the request, so a write
-        whose response was lost must surface for the caller to reconcile.
-        Any other failure — a fresh connection refused, a timeout, a
-        response cut short or not one — raises :class:`ServerError`.
+        byte) is retried exactly once on a fresh connection.  A reused-socket
+        close proves the server shut the connection, not that it never
+        processed the request; the retry is safe because every request is
+        (an insert of a triple already present adds nothing).  Any other
+        failure — a fresh connection refused, a timeout, a response cut
+        short or not one — raises :class:`ServerError`.
         """
         ident = threading.get_ident()
         for attempt in (1, 2):
@@ -256,7 +239,7 @@ class ServerClient:
                     self._drop(ident)
                 return response
             self._drop(ident)
-            if (idempotent and reused and attempt == 1 and not parser.started
+            if (reused and attempt == 1 and not parser.started
                     and (failure is None or isinstance(failure, _STALE_SOCKET_ERRORS))):
                 with self._lock:
                     self._stats["stale_retries"] += 1
@@ -309,30 +292,15 @@ class ServerClient:
                             self.range_payload(triple, radius, pattern=pattern,
                                                deadline=deadline))
 
-    def insert(self, triple: Triple, *, document_id: str | None = None,
-               idempotency_key: str | None = None) -> Dict[str, Any]:
-        """``POST /v1/insert`` with one triple; returns ``{"seq": ..., ...}``.
-
-        With ``idempotency_key``, the server deduplicates replays of the
-        same key — which is what makes the stale-socket retry (and any
-        caller-level retry loop) safe for this write.
-        """
-        return self._insert_request(_insert_entry(triple, document_id), idempotency_key)
+    def insert(self, triple: Triple, *, document_id: str | None = None) -> Dict[str, Any]:
+        """``POST /v1/insert`` with one triple; returns ``{"seq": ..., ...}``."""
+        return self.request("POST", "/v1/insert", _insert_entry(triple, document_id))
 
     def insert_many(self, triples: Sequence[Triple], *,
-                    document_id: str | None = None,
-                    idempotency_key: str | None = None) -> Dict[str, Any]:
+                    document_id: str | None = None) -> Dict[str, Any]:
         """``POST /v1/insert`` with a batch; returns the acceptance summary."""
         inserts = [_insert_entry(triple, document_id) for triple in triples]
-        return self._insert_request({"inserts": inserts}, idempotency_key)
-
-    def _insert_request(self, payload: Dict[str, Any],
-                        idempotency_key: str | None) -> Dict[str, Any]:
-        # A key makes a replay a no-op server-side, so the transport's
-        # one-shot stale-socket retry becomes safe for this write.
-        keyed = idempotency_key is not None
-        return self.request("POST", "/v1/insert", payload, idempotent=keyed,
-                            headers={"Idempotency-Key": idempotency_key} if keyed else None)
+        return self.request("POST", "/v1/insert", {"inserts": inserts})
 
     def shard_info(self) -> Dict[str, Any]:
         """``GET /v1/shard`` — which partition the shard serves."""

@@ -4,9 +4,10 @@ rule that the request which crossed the threshold pays for it."""
 import sys
 import threading
 
-from ingest_corpus import INSERT_TRIPLES
+from ingest_corpus import ACTORS, INSERT_TRIPLES
 from repro.ingest import IngestingIndex
 from repro.io.serialization import triple_to_dict
+from repro.rdf import Triple
 from repro.server import ServerApp
 
 
@@ -67,10 +68,13 @@ class TestCompactor:
                                compaction_threshold=3)
         base_points = len(index)
         workers, per_worker = 8, 6
+        # Distinct triples: the index is a set, and every one must land.
+        stream = [Triple.of(ACTORS[n % len(ACTORS)], "Fun:raise_signal",
+                            f"SigType:sig-{n:02d}") for n in range(workers * per_worker)]
 
-        def insert_and_fold(offset):
+        def insert_and_fold(worker):
             for step in range(per_worker):
-                index.insert(INSERT_TRIPLES[(offset + step) % len(INSERT_TRIPLES)])
+                index.insert(stream[worker * per_worker + step])
                 index.maybe_compact()
 
         interval = sys.getswitchinterval()

@@ -91,7 +91,8 @@ class TestThreadedMixedWorkload:
         the index's own locks, every answer exact for an observed prefix."""
         ingesting = IngestingIndex(make_base(), tmp_path / "wal.jsonl",
                                    compaction_threshold=3)
-        stream = INSERT_TRIPLES * 3  # duplicates included on purpose
+        # Repeats included on purpose: each one must leave the index unchanged.
+        stream = INSERT_TRIPLES * 3
         errors = []
         # Pre-compute every legal prefix answer so query threads can assert
         # without re-running FastMap in the oracle while threads interleave.
@@ -134,7 +135,7 @@ class TestThreadedMixedWorkload:
             # quiesced end state: every insert visible, exact final answer
             final = engine.execute(spec)
             assert canonical(final.matches) == legal[-1]
-            assert len(ingesting) == len(BASE_TRIPLES) + len(stream)
+            assert len(ingesting) == len(BASE_TRIPLES) + len(set(stream))
 
         stats = ingesting.statistics()
         assert stats["inserts"] == len(stream)

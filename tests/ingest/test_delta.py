@@ -71,17 +71,19 @@ class TestMergedReadsEqualRebuild:
                     assert canonical(ingesting.range_query(query, radius)) == \
                         canonical(oracle.range_query(query, radius))
 
-    def test_duplicate_inserts_surface_as_duplicate_matches(self, make_base, tmp_path):
+    def test_duplicate_inserts_surface_as_one_match(self, make_base, tmp_path):
         ingesting = IngestingIndex(make_base(), tmp_path / "wal.jsonl",
                                    compaction_threshold=10_000)
         triple = INSERT_TRIPLES[0]
         ingesting.insert(triple)
         ingesting.insert(triple)
+        assert len(ingesting.delta) == 1
         oracle = self._oracle(make_base, [triple, triple])
         assert canonical(ingesting.k_nearest(triple, 3)) == \
             canonical(oracle.k_nearest(triple, 3))
-        assert canonical(ingesting.range_query(triple, 0.0)) == \
-            canonical(oracle.range_query(triple, 0.0))
+        exact = ingesting.range_query(triple, 0.0)
+        assert [match.triple for match in exact] == [triple]
+        assert canonical(exact) == canonical(oracle.range_query(triple, 0.0))
 
     def test_merge_spans_a_compaction_boundary(self, make_base, tmp_path):
         """Half the inserts folded into the tree, half still in the delta."""

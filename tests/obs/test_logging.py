@@ -1,17 +1,11 @@
-"""Tests for JSON logging, trace correlation, and the slow-query log."""
+"""Tests for JSON logging and trace correlation."""
 
 import io
 import json
 import logging
 
-from repro.obs.logging import (
-    SLOW_QUERY_ENV,
-    JsonLogFormatter,
-    SlowQueryLog,
-    configure_logging,
-    get_logger,
-)
-from repro.obs.tracing import Trace, activate, span
+from repro.obs.logging import JsonLogFormatter, configure_logging, get_logger
+from repro.obs.tracing import Trace, activate
 
 
 def format_record(**kwargs):
@@ -81,49 +75,3 @@ class TestConfigureLogging:
     def test_get_logger_namespaces(self):
         assert get_logger("access").name == "repro.access"
         assert get_logger("repro.access").name == "repro.access"
-
-
-class TestSlowQueryLog:
-    def test_disabled_without_threshold(self, monkeypatch):
-        monkeypatch.delenv(SLOW_QUERY_ENV, raising=False)
-        log = SlowQueryLog()
-        assert not log.enabled
-        assert log.observe(kind="knn", latency_seconds=99.0) is False
-        assert log.logged == 0
-
-    def test_threshold_from_environment(self, monkeypatch):
-        monkeypatch.setenv(SLOW_QUERY_ENV, "250")
-        assert SlowQueryLog().threshold_ms == 250.0
-        monkeypatch.setenv(SLOW_QUERY_ENV, "not a number")
-        assert SlowQueryLog().threshold_ms is None
-
-    def test_logs_only_above_threshold(self, caplog):
-        # An explicit logger outside the "repro" tree: configure_logging
-        # (exercised above) sets propagate=False on "repro", which would
-        # hide records from caplog's root handler.
-        log = SlowQueryLog(threshold_ms=50.0,
-                           logger=logging.getLogger("test.slow_query"))
-        with caplog.at_level(logging.WARNING, logger="test.slow_query"):
-            assert log.observe(kind="knn", latency_seconds=0.010) is False
-            assert log.observe(kind="knn", latency_seconds=0.200) is True
-        assert log.logged == 1
-        (record,) = caplog.records
-        assert record.kind == "knn"
-        assert record.latency_ms == 200.0
-
-    def test_span_breakdown_is_attached(self, caplog):
-        log = SlowQueryLog(threshold_ms=0.0,
-                           logger=logging.getLogger("test.slow_query"))
-        trace = Trace("slow-1")
-        with activate(trace):
-            with span("execute"):
-                pass
-            with caplog.at_level(logging.WARNING, logger="test.slow_query"):
-                log.observe(kind="range", latency_seconds=0.001,
-                            query={"kind": "range", "radius": 0.1},
-                            visited_partitions=("P0", "P1"))
-        (record,) = caplog.records
-        assert record.trace_id == "slow-1"
-        assert record.visited_partitions == ["P0", "P1"]
-        assert [node["name"] for node in record.spans] == ["execute"]
-        assert record.query == {"kind": "range", "radius": 0.1}

@@ -27,7 +27,7 @@ PARSERS = {
 
 SHARED_FLAGS = [
     "--host", "--port", "--idle-timeout", "--workers",
-    "--cache-capacity", "--default-deadline", "--actors", "--slow-query-ms", "--profile",
+    "--cache-capacity", "--default-deadline", "--actors", "--profile",
     "--max-queue-depth", "--client-rate", "--client-burst", "--faults",
     "--quiet",
 ]
@@ -47,6 +47,13 @@ class TestSharedOptionGroup:
         build, required = PARSERS[cli]
         with pytest.raises(SystemExit) as excinfo:
             build().parse_args(required + removed)
+        assert excinfo.value.code == 2
+        capsys.readouterr()  # argparse's usage message
+
+    def test_slow_query_flag_is_gone(self, cli, capsys):
+        build, required = PARSERS[cli]
+        with pytest.raises(SystemExit) as excinfo:
+            build().parse_args(required + ["--slow-query-ms", "5"])
         assert excinfo.value.code == 2
         capsys.readouterr()  # argparse's usage message
 

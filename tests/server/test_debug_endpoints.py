@@ -9,7 +9,6 @@ the same transport production traffic uses.
 
 from __future__ import annotations
 
-import logging
 import threading
 
 import pytest
@@ -155,15 +154,6 @@ class TestCostAccounting:
         counts = [s for s in histogram.samples
                   if s.name.endswith("_count")]
         assert sum(s.value for s in counts) >= 1
-
-    def test_slow_query_log_explains_cost(self, make_server, caplog):
-        _, client = make_server(slow_query_ms=0.0)
-        with caplog.at_level(logging.WARNING, logger="repro.slow_query"):
-            client.knn(BASE_TRIPLES[0], 3)
-        records = [r for r in caplog.records
-                   if getattr(r, "event", None) == "slow_query"]
-        assert records
-        assert records[-1].cost["distance_computations"] > 0
 
 
 class TestWireBytes:

@@ -153,8 +153,8 @@ class TestHandlerInjection:
         _, client = make_faulty_server(plan)
         from server_corpus import INSERT_TRIPLES
 
-        # A non-idempotent write on a reset connection surfaces as an
-        # error — never a silent retry (the regression this PR fixes).
+        # A reset on a fresh connection surfaces as an error: only a
+        # reused socket closed before any response byte is retried.
         with pytest.raises(ServerError):
             client.insert(INSERT_TRIPLES[0])
         result = client.insert(INSERT_TRIPLES[0])

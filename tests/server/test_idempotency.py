@@ -1,211 +1,134 @@
-"""The write-path retry contract: Idempotency-Key dedup, no blind replays.
+"""Every ``POST /v1/insert`` is safe to retry: the index is a set of triples.
 
-The transport-level hazard: a retried ``POST /v1/insert`` whose first
-attempt died after the server applied it would double-insert.  The fix has
-two halves, both pinned here — the client never blindly retries a write
-(only reads, or writes carrying an ``Idempotency-Key``), and the server
-deduplicates replayed keys by returning the original response.
+A retried insert whose first attempt already landed finds its triple
+present and adds no point, so the server needs no key to recognise a
+replay and the client may resend any request — inserts included — when a
+reused keep-alive socket dies before the first response byte.
 """
 
 from __future__ import annotations
 
-import sys
 import threading
-import time
 
 import pytest
 
-from server_corpus import INSERT_TRIPLES, QUERY_TRIPLES
+from server_corpus import BASE_TRIPLES, INSERT_TRIPLES, QUERY_TRIPLES
 from repro.errors import ServerError
 from repro.ingest import IngestingIndex
 from repro.io.serialization import triple_to_dict
+from repro.server import SemTreeServer, ServerApp
+from repro.server.bootstrap import recover_index
 from repro.workloads import ServerClient
-from repro.server import ServerApp
-from repro.server.context import request_context
-from repro.server.protocol import RequestParser
-from repro.workloads.http_client import _IDEMPOTENT_POST_PATHS
 
 
-class TestClientRetryPolicy:
-    def test_insert_is_not_a_blindly_retryable_path(self):
-        assert "/v1/insert" not in _IDEMPOTENT_POST_PATHS
-        assert "/v1/knn" in _IDEMPOTENT_POST_PATHS
-
-    def test_insert_marks_idempotent_only_with_a_key(self, make_server,
-                                                     monkeypatch):
-        _, client = make_server()
-        seen = []
-        original = ServerClient._round_trip
-
-        def spy(self, message, idempotent):
-            parser = RequestParser()
-            parser.feed(message)
-            request = parser.request
-            seen.append((request.target, idempotent,
-                         request.headers.get("Idempotency-Key")))
-            return original(self, message, idempotent)
-
-        monkeypatch.setattr(ServerClient, "_round_trip", spy)
-        client.insert(INSERT_TRIPLES[0])
-        client.insert(INSERT_TRIPLES[1], idempotency_key="write-1")
-        assert seen == [
-            ("/v1/insert", False, None),
-            ("/v1/insert", True, "write-1"),
-        ]
+def documents_by_text(result):
+    return [(match["text"], match["documents"]) for match in result["matches"]]
 
 
 class TestServerSideDedup:
-    def test_replayed_key_returns_the_original_response(self, make_server):
+    def test_a_retried_insert_answers_with_a_covering_seq(self, make_server):
         server, client = make_server()
-        first = client.insert(INSERT_TRIPLES[0], idempotency_key="abc")
-        assert "deduplicated" not in first
-        replay = client.insert(INSERT_TRIPLES[0], idempotency_key="abc")
-        assert replay["deduplicated"] is True
-        assert replay["seq"] == first["seq"]
-        # The replay applied nothing: the WAL grew by exactly one record.
-        assert server.app.index.wal.last_seq == first["seq"]
+        first = client.insert(INSERT_TRIPLES[0])
+        retry = client.insert(INSERT_TRIPLES[0])
+        assert retry == first  # same fields, and the WAL prefix holds the triple
+        assert server.app.index.wal.last_seq == first["seq"] == 1
+        assert client.index_info()["points"] == len(BASE_TRIPLES) + 1
 
     def test_batch_replay_is_deduplicated_too(self, make_server):
         server, client = make_server()
-        first = client.insert_many(INSERT_TRIPLES[:3], idempotency_key="batch")
-        replay = client.insert_many(INSERT_TRIPLES[:3], idempotency_key="batch")
-        assert replay["deduplicated"] is True
-        assert (replay["first_seq"], replay["last_seq"]) == \
-               (first["first_seq"], first["last_seq"])
-        assert server.app.index.wal.last_seq == first["last_seq"]
-
-    def test_distinct_keys_apply_independently(self, make_server):
-        _, client = make_server()
-        first = client.insert(INSERT_TRIPLES[0], idempotency_key="k1")
-        second = client.insert(INSERT_TRIPLES[1], idempotency_key="k2")
-        assert second["seq"] == first["seq"] + 1
-
-    def test_no_key_means_no_dedup(self, make_server):
-        _, client = make_server()
-        first = client.insert(INSERT_TRIPLES[0])
-        again = client.insert(INSERT_TRIPLES[0])
-        assert again["seq"] == first["seq"] + 1
-        assert "deduplicated" not in again
-
-    def test_keys_are_truncated_to_the_bounded_length(self, make_server):
-        from repro.server.context import MAX_VALUE_LENGTH
-
-        _, client = make_server()
-        long_key = "x" * (MAX_VALUE_LENGTH + 50)
-        first = client.insert(INSERT_TRIPLES[0], idempotency_key=long_key)
-        # Any key sharing the first MAX_VALUE_LENGTH chars replays the same
-        # entry — the bound is what keeps the replay cache's memory finite.
-        replay = client.insert(INSERT_TRIPLES[0],
-                               idempotency_key=long_key + "different-tail")
-        assert replay["deduplicated"] is True
-        assert replay["seq"] == first["seq"]
+        batch = [INSERT_TRIPLES[0], INSERT_TRIPLES[1], INSERT_TRIPLES[0]]
+        first = client.insert_many(batch)
+        replay = client.insert_many(batch)
+        assert first["accepted"] == replay["accepted"] == 3
+        assert replay["last_seq"] == first["last_seq"] == 2
+        assert len(server.app.index.wal) == 2
+        assert client.index_info()["points"] == len(BASE_TRIPLES) + 2
 
     def test_failed_insert_is_not_remembered(self, make_server):
-        _, client = make_server()
-        bad = {"triple": {"not": "a triple"}}
+        server, client = make_server()
         with pytest.raises(ServerError):
-            client.request("POST", "/v1/insert", bad,
-                           headers={"Idempotency-Key": "doomed"},
-                           idempotent=True)
-        # The key was not burned by the failure: a valid retry under the
-        # same key applies for real.
-        good = client.insert(INSERT_TRIPLES[0], idempotency_key="doomed")
-        assert "deduplicated" not in good
-        assert "seq" in good
+            client.request("POST", "/v1/insert", {"triple": {"not": "a triple"}})
+        assert len(server.app.index.wal) == 0
+        # Nothing of the failure stays behind: the valid retry applies.
+        assert client.insert(INSERT_TRIPLES[0])["seq"] == 1
+        assert client.index_info()["points"] == len(BASE_TRIPLES) + 1
 
     def test_queries_are_unaffected_by_idempotency_headers(self, make_server):
+        # A header older clients sent means nothing now; it is ignored.
         _, client = make_server()
         result = client.request(
             "POST", "/v1/knn", ServerClient.knn_payload(QUERY_TRIPLES[0], 3),
             headers={"Idempotency-Key": "irrelevant"})
         assert "matches" in result
 
+    def test_a_provenance_only_insert_refreshes_wire_cached_answers(self, make_server):
+        server, client = make_server(server_kwargs={"wire_cache": True})
+        query = BASE_TRIPLES[0]
+        client.insert(query, document_id="d1")
+        client.knn(query, 3)
+        cached = client.knn(query, 3)
+        assert server.app.metrics()["serving"]["queries"] == 1  # a wire hit
+        client.insert(query, document_id="d2")
+        served = client.knn(query, 3)
+        assert documents_by_text(served)[0] == (str(query), ["d1", "d2"])
+        assert documents_by_text(served) != documents_by_text(cached)
+        fresh = server.app.index.k_nearest(query, 3)
+        assert documents_by_text(served) == \
+            [(str(match.triple), list(match.documents)) for match in fresh]
+        assert client.index_info()["points"] == len(BASE_TRIPLES)
 
-class TestConcurrentKeys:
-    """Two requests with one key in flight at once: the batch applies once."""
 
-    @staticmethod
-    def race(make_base, tmp_path, monkeypatch, fail_first=False):
+class TestConcurrentInserts:
+    def test_concurrent_identical_inserts_leave_one_point(self, make_base, tmp_path):
         index = IngestingIndex(make_base(), tmp_path / "wal.jsonl")
         app = ServerApp(index)
-        real_insert = index.insert
-        calls = []
-
-        def slow_insert(*args, **kwargs):
-            calls.append(None)
-            time.sleep(0.2)
-            if fail_first and len(calls) == 1:
-                raise OSError("disk on fire")
-            return real_insert(*args, **kwargs)
-
-        monkeypatch.setattr(index, "insert", slow_insert)
-        body = {"triple": triple_to_dict(INSERT_TRIPLES[0])}
-        outcomes = []
+        racers = 8
+        start = threading.Barrier(racers)
+        responses = []
 
         def send():
-            with request_context(idempotency_key="same"):
-                try:
-                    outcomes.append(app.handle_insert(body))
-                except OSError as error:
-                    outcomes.append(error)
-
-        senders = [threading.Thread(target=send) for _ in range(2)]
-        try:
-            for sender in senders:
-                sender.start()
-            for sender in senders:
-                sender.join(10.0)
-            assert not any(sender.is_alive() for sender in senders)
-            return index, app, outcomes
-        finally:
-            app.close()
-
-    def test_the_second_request_replays_the_first(self, make_base, tmp_path,
-                                                  monkeypatch):
-        index, app, outcomes = self.race(make_base, tmp_path, monkeypatch)
-        assert len(index.wal) == 1
-        assert len(outcomes) == 2
-        assert outcomes[0]["seq"] == outcomes[1]["seq"]
-        assert sorted(outcome.get("deduplicated", False) for outcome in outcomes) == \
-            [False, True]
-        assert app._claims == {}
-
-    def test_a_failed_first_attempt_leaves_the_key_to_the_waiter(
-            self, make_base, tmp_path, monkeypatch):
-        index, app, outcomes = self.race(make_base, tmp_path, monkeypatch,
-                                         fail_first=True)
-        assert isinstance(outcomes[0], OSError)
-        assert outcomes[1]["seq"] == 1 and "deduplicated" not in outcomes[1]
-        assert len(index.wal) == 1
-        assert app._claims == {}
-
-    def test_many_racers_per_key_apply_each_key_once(self, make_base, tmp_path):
-        index = IngestingIndex(make_base(), tmp_path / "wal.jsonl")
-        app = ServerApp(index)
-        keys = [f"key-{number}" for number in range(4)]
-        outcomes = {key: [] for key in keys}
-        start = threading.Barrier(4 * len(keys))
-
-        def send(key, triple):
             start.wait(10.0)
-            with request_context(idempotency_key=key):
-                outcomes[key].append(app.handle_insert({"triple": triple_to_dict(triple)}))
+            responses.append(app.handle_insert({"triple": triple_to_dict(INSERT_TRIPLES[0])}))
 
-        senders = [threading.Thread(target=send, args=(key, INSERT_TRIPLES[number]))
-                   for number, key in enumerate(keys) for _ in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
+        senders = [threading.Thread(target=send) for _ in range(racers)]
         try:
             for sender in senders:
                 sender.start()
             for sender in senders:
                 sender.join(10.0)
         finally:
-            sys.setswitchinterval(interval)
             app.close()
         assert not any(sender.is_alive() for sender in senders)
-        assert len(index.wal) == len(keys)
-        for key in keys:
-            assert len({outcome["seq"] for outcome in outcomes[key]}) == 1
-            assert sum("deduplicated" not in outcome for outcome in outcomes[key]) == 1
-        assert app._claims == {}
+        assert {response["seq"] for response in responses} == {1}
+        assert len(index.wal) == 1
+        assert len(index) == len(BASE_TRIPLES) + 1
+
+
+class TestRetries:
+    def test_a_stale_socket_retries_an_insert(self, make_server):
+        server, client = make_server()
+        assert client.health()["status"] == "ok"
+        server._close_idle_connections()
+        assert "seq" in client.insert(INSERT_TRIPLES[0])
+        assert client.stats()["stale_retries"] == 1
+        assert client.index_info()["points"] == len(BASE_TRIPLES) + 1
+
+    def test_an_insert_retried_across_a_restart_leaves_one_point(self, make_server,
+                                                                 tmp_path):
+        server, client = make_server()
+        snapshot, wal = tmp_path / "snapshot.json", tmp_path / "wal.jsonl"
+        server.app.index.checkpoint(snapshot)
+        client.insert(INSERT_TRIPLES[0], document_id="d1")
+        server.close(checkpoint=False)  # dies before the client saw its answer
+
+        restarted = SemTreeServer(ServerApp(recover_index(snapshot, wal))).serve_background()
+        try:
+            with ServerClient(restarted.url) as retrying:
+                assert retrying.insert(INSERT_TRIPLES[0], document_id="d1")["seq"] == 1
+                assert retrying.index_info()["points"] == len(BASE_TRIPLES) + 1
+                (match,) = [m for m in retrying.range(INSERT_TRIPLES[0], 0.0)["matches"]
+                            if m["text"] == str(INSERT_TRIPLES[0])]
+                assert match["documents"] == ["d1"]
+        finally:
+            restarted.close(checkpoint=False)
+        assert len(restarted.app.index.wal) == 1

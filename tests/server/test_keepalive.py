@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from server_corpus import BASE_TRIPLES, QUERY_TRIPLES
+from server_corpus import INSERT_TRIPLES, QUERY_TRIPLES
 from repro.errors import ServerError
 
 
@@ -85,7 +85,7 @@ def test_keepalive_responses_stay_correct_under_reuse(make_server):
     for round_ in range(5):
         result = client.knn(QUERY_TRIPLES[round_ % len(QUERY_TRIPLES)], 3)
         assert result["error"] is None and len(result["matches"]) == 3
-        insert = client.insert(BASE_TRIPLES[0])
+        insert = client.insert(INSERT_TRIPLES[round_])
         assert insert["seq"] >= 1
         assert client.health()["status"] == "ok"
     assert client.stats() == {"requests": 15, "connections_opened": 1,

@@ -227,26 +227,6 @@ class TestSnapshotBoot:
         with pytest.raises(SystemExit):
             build_server(["--snapshot", str(snapshot)])
 
-    def test_cli_shard_honours_slow_query_ms(self, checkpoint):
-        # Regression: shard mode used to drop --slow-query-ms on the floor.
-        _, snapshot = checkpoint
-        server, _ = build_server(["--snapshot", str(snapshot),
-                                  "--shard", "P0", "--slow-query-ms", "5"])
-        try:
-            assert server.app.slow_query_log.enabled
-            assert server.app.slow_query_log.threshold_ms == 5.0
-        finally:
-            server.close()
-
-    def test_cli_shard_reads_slow_query_env(self, checkpoint, monkeypatch):
-        _, snapshot = checkpoint
-        monkeypatch.setenv("REPRO_SLOW_QUERY_MS", "7.5")
-        server, _ = build_server(["--snapshot", str(snapshot), "--shard", "P0"])
-        try:
-            assert server.app.slow_query_log.threshold_ms == 7.5
-        finally:
-            server.close()
-
     def test_cli_shard_profile_flag_runs_a_continuous_profiler(self, checkpoint):
         _, snapshot = checkpoint
         server, _ = build_server(["--snapshot", str(snapshot),

@@ -1,16 +1,14 @@
 """End-to-end request tracing over the HTTP front end.
 
 Locks the wire contract from ``docs/observability.md``: every response
-echoes ``X-Trace-Id`` (client-supplied or generated), ``X-Debug-Trace``
-opts into a ``debug.trace`` span tree, and the slow-query log correlates
-with the request's trace id.
+echoes ``X-Trace-Id`` (client-supplied or generated), and ``X-Debug-Trace``
+opts into a ``debug.trace`` span tree.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
-import logging
 import urllib.parse
 
 from server_corpus import QUERY_TRIPLES
@@ -137,35 +135,3 @@ class TestDebugTrace:
             covered += covered_fraction(handle) * handle["duration_ms"]
             total += handle["duration_ms"]
         assert covered >= 0.95 * total
-
-
-class TestSlowQueryLog:
-    def test_slow_queries_are_logged_with_trace_id(self, make_server, caplog):
-        server, _ = make_server(slow_query_ms=0.0)   # everything is "slow"
-        body = ServerClient.knn_payload(QUERY_TRIPLES[0], 3)
-        with caplog.at_level(logging.WARNING, logger="repro.slow_query"):
-            _, headers, _ = raw_request(server.url, "POST", "/v1/knn",
-                                        body=body,
-                                        headers={"X-Trace-Id": "slow-http-1"})
-        records = [record for record in caplog.records
-                   if record.name == "repro.slow_query"]
-        assert records, "no slow-query record emitted"
-        record = records[-1]
-        assert record.kind == "knn"
-        assert record.trace_id == "slow-http-1" == headers["X-Trace-Id"]
-        assert record.visited_partitions
-
-    def test_cache_hits_are_not_logged(self, make_server, caplog):
-        _, client = make_server(slow_query_ms=0.0)
-        with caplog.at_level(logging.WARNING, logger="repro.slow_query"):
-            client.knn(QUERY_TRIPLES[0], 3)
-            before = len(caplog.records)
-            client.knn(QUERY_TRIPLES[0], 3)   # served from cache
-        assert len(caplog.records) == before
-
-    def test_disabled_by_default(self, make_server, caplog):
-        _, client = make_server()
-        with caplog.at_level(logging.WARNING, logger="repro.slow_query"):
-            client.knn(QUERY_TRIPLES[0], 3)
-        assert not [record for record in caplog.records
-                    if record.name == "repro.slow_query"]
