@@ -66,10 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--reset-timeout", type=float, default=5.0,
                         help="seconds an open circuit waits before letting one "
                              "probe scan through")
-    parser.add_argument("--hedge-delay", type=float, default=None,
-                        help="send a duplicate scan to another replica when the "
-                             "first takes longer than this many seconds "
-                             "(default: no hedging)")
     add_serving_options(parser)
     return parser
 
@@ -108,7 +104,6 @@ def build_coordinator(argv: Optional[Sequence[str]] = None,
         topology, timeout=args.shard_timeout,
         failure_threshold=args.failure_threshold,
         reset_timeout=args.reset_timeout,
-        hedge_delay=args.hedge_delay,
         fault_plan=fault_plan,
     )
     index = ShardedIndex(base, transport)

@@ -23,11 +23,6 @@ Fault tolerance (see ``docs/robustness.md``):
   healthy replica (scans are idempotent reads) with capped exponential
   backoff + deterministic jitter between attempts
   (:class:`~repro.coordinator.replica.BackoffPolicy`).
-* **Hedging (opt-in)** — with ``hedge_delay`` set and a second healthy
-  replica available, a scan that has not answered within the delay gets a
-  duplicate sent to the next replica; the first successful answer wins and
-  the loser is abandoned.  Exactness is unaffected — both replicas serve
-  the same immutable snapshot partition.
 * **Fault injection (opt-in)** — a :class:`~repro.faults.FaultPlan`
   consulted before every attempt (operation ``"scan"``, target
   ``"partition@url"``), so chaos tests can break precisely this layer.
@@ -39,12 +34,10 @@ failure, for the scatter layer's structured partial-failure report.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import threading
 import time
 from collections import Counter
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.transport import PartitionScan
@@ -70,10 +63,6 @@ _FAILOVER_COUNTERS = (
      "Shard scan attempts retried after a replica failure, by partition."),
     ("failovers", "repro_shard_failovers_total",
      "Scan retries that moved to a different replica, by partition."),
-    ("hedges", "repro_shard_hedges_total",
-     "Duplicate hedge requests issued to a second replica, by partition."),
-    ("hedge_wins", "repro_shard_hedge_wins_total",
-     "Hedged scans where the duplicate answered first, by partition."),
     ("circuit_shed", "repro_shard_circuit_shed_total",
      "Scan attempts skipped because a replica circuit was open."),
 )
@@ -110,9 +99,6 @@ class HttpShardTransport:
     backoff:
         The :class:`BackoffPolicy` applied between failover attempts
         (default: 50 ms base, doubling, 2 s cap, 50 % jitter).
-    hedge_delay:
-        Seconds after which a scan still in flight is hedged to the next
-        healthy replica (``None`` disables hedging — the default).
     fault_plan:
         Optional :class:`FaultPlan` injected into every scan attempt.
     clock / sleep:
@@ -123,15 +109,11 @@ class HttpShardTransport:
     def __init__(self, topology: ShardTopology, *, timeout: float = 10.0,
                  failure_threshold: int = 3, reset_timeout: float = 5.0,
                  backoff: Optional[BackoffPolicy] = None,
-                 hedge_delay: Optional[float] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  clock: Callable[[], float] = time.monotonic,
                  sleep: Callable[[float], None] = time.sleep):
-        if hedge_delay is not None and hedge_delay < 0:
-            raise ShardError("hedge_delay must be non-negative")
         self.topology = topology
         self.timeout = timeout
-        self.hedge_delay = hedge_delay
         self.backoff = backoff or BackoffPolicy()
         self.fault_plan = fault_plan
         self._sleep = sleep
@@ -152,13 +134,6 @@ class HttpShardTransport:
         }
         self._tables: Dict[Tuple[str, str], RowTable] = {}
         self._create_metrics()
-        # The hedge pool exists only when hedging is on; its threads issue
-        # the duplicate requests so the scatter thread can race the two.
-        self._hedge_pool: Optional[ThreadPoolExecutor] = (
-            ThreadPoolExecutor(max_workers=max(4, 2 * len(self._replica_sets)),
-                               thread_name_prefix="semtree-hedge")
-            if hedge_delay is not None else None
-        )
 
     # -- PartitionTransport -------------------------------------------------------------
 
@@ -175,8 +150,6 @@ class HttpShardTransport:
                           {"coordinates": list(query.coordinates), "radius": radius})
 
     def close(self) -> None:
-        if self._hedge_pool is not None:
-            self._hedge_pool.shutdown(wait=False)
         # Every thread's sockets, not the caller's: the persistent ones live
         # in the scatter pool's workers, not in the thread tearing this down.
         for connection in self._connections.values():
@@ -220,7 +193,7 @@ class HttpShardTransport:
         return health
 
     def failover_stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-partition failover counters (retries, hedges, circuit opens)."""
+        """Per-partition failover counters (retries, failovers, circuit opens)."""
         counters = {key: family.by_label() for key, family in self._failover.items()}
         stats: Dict[str, Dict[str, int]] = {}
         for partition_id, replica_set in self._replica_sets.items():
@@ -248,7 +221,7 @@ class HttpShardTransport:
     def _count(self, name: str, partition_id: str) -> None:
         self._failover[name].labels(partition_id).inc()
 
-    # -- the scan retry/hedge loop ------------------------------------------------------
+    # -- the scan retry loop ------------------------------------------------------------
 
     def _scan(self, partition_id: str, operation: str, path: str,
               request: Dict[str, Any]) -> PartitionScan:
@@ -285,14 +258,9 @@ class HttpShardTransport:
                 if index > 0:
                     self._count("failovers", partition_id)
                 self._sleep(self.backoff.delay(attempt - 1))
-            hedge_candidates = candidates[index + 1:]
             try:
-                if self._hedge_pool is not None and hedge_candidates:
-                    payload, neighbours = self._attempt_hedged(
-                        partition_id, operation, path, body, replica, hedge_candidates)
-                else:
-                    payload, neighbours = self._attempt(
-                        partition_id, operation, path, body, replica)
+                payload, neighbours = self._attempt(
+                    partition_id, operation, path, body, replica)
             except (ServerError, InjectedFault) as error:
                 failures.append(f"{replica.url}: {error}")
                 attempt += 1
@@ -303,8 +271,8 @@ class HttpShardTransport:
                 neighbours=neighbours,
                 nodes_visited=int(payload.get("nodes_visited", 0)),
                 points_examined=int(payload.get("points_examined", 0)),
-                # The *coordinator-observed* round trip (network hop, retries
-                # and hedges included), matching what SimulatedClusterTransport
+                # The *coordinator-observed* round trip (network hop and
+                # retries included), matching what SimulatedClusterTransport
                 # reports — the per-shard latency gauges must point an operator
                 # at a slow shard path, not just at its server-side scan time
                 # (which the shard still reports in its own payload as latency_ms).
@@ -396,53 +364,6 @@ class HttpShardTransport:
         return payload, tuple(Neighbour(points[row], distance)
                               for row, distance in payload["rows"])
 
-    def _attempt_hedged(self, partition_id: str, operation: str, path: str, body: bytes,
-                        replica: ReplicaState, alternates: List[ReplicaState],
-                        ) -> Tuple[Dict[str, Any], Tuple[Neighbour, ...]]:
-        """Race the replica against a late-started duplicate on the next one.
-
-        The primary request is given ``hedge_delay`` seconds to answer; past
-        that, a duplicate goes to the first alternate whose breaker allows
-        it, and whichever request *succeeds* first wins.  The loser is
-        cancelled if still queued, abandoned (its worker finishes into a
-        discarded future) if already on the wire — its breaker bookkeeping
-        still happens in :meth:`_attempt`, so a slow-loser failure counts.
-        """
-        assert self._hedge_pool is not None
-        primary: Future = self._hedge_pool.submit(
-            self._attempt, partition_id, operation, path, body, replica)
-        try:
-            return primary.result(timeout=self.hedge_delay)
-        except concurrent.futures.TimeoutError:
-            # The futures name: the builtin TimeoutError is the same class
-            # only from Python 3.11, and 3.10 is supported.
-            pass
-        hedge_replica = next(
-            (candidate for candidate in alternates if candidate.breaker.allow()),
-            None)
-        if hedge_replica is None:
-            return primary.result()
-        self._count("hedges", partition_id)
-        hedge: Future = self._hedge_pool.submit(
-            self._attempt, partition_id, operation, path, body, hedge_replica)
-        in_flight = {primary, hedge}
-        first_error: Optional[BaseException] = None
-        while in_flight:
-            done, in_flight = wait(in_flight, return_when=FIRST_COMPLETED)
-            for future in done:
-                error = future.exception()
-                if error is None:
-                    for loser in in_flight:
-                        loser.cancel()
-                    if future is hedge:
-                        self._count("hedge_wins", partition_id)
-                    return future.result()
-                if first_error is None:
-                    first_error = error  # surface the primary-ish failure
-        assert first_error is not None
-        raise first_error
-
     def __repr__(self) -> str:
         return (f"HttpShardTransport(partitions={len(self._replica_sets)}, "
-                f"replicas={len(self._connections)}, timeout={self.timeout}, "
-                f"hedge_delay={self.hedge_delay})")
+                f"replicas={len(self._connections)}, timeout={self.timeout})")

@@ -139,15 +139,14 @@ class AdmissionError(ReproError):
     """Raised when admission control rejects a query before execution.
 
     Mapped to HTTP 503 with a ``Retry-After`` header: the request was
-    well-formed but the server is shedding load (queue full, the predicted
-    queue wait exceeds the query's deadline, or the client is over its
-    rate limit) and retrying later is the right move.
+    well-formed but the server is shedding load (queue full, or the
+    predicted queue wait exceeds the query's deadline) and retrying later
+    is the right move.
 
     Attributes
     ----------
     reason:
-        Why the query was shed: ``"queue_full"``, ``"deadline"`` or
-        ``"rate_limit"``.
+        Why the query was shed: ``"queue_full"`` or ``"deadline"``.
     retry_after:
         Seconds the client should wait before retrying (the value of the
         ``Retry-After`` response header).

@@ -46,33 +46,26 @@ class DeltaIndex:
         self._lock = threading.Lock()
         self._points: List[LabeledPoint] = []
         self._labels: Set[Any] = set()
-        self._last_seq = 0
         self.scan_kernel = validate_scan_kernel(scan_kernel)
         self._matrix: Optional[np.ndarray] = None
 
     # -- writes -------------------------------------------------------------------------
 
-    def add(self, point: LabeledPoint, seq: int) -> None:
-        """Append one projected point, carrying its WAL sequence number."""
+    def add(self, point: LabeledPoint) -> None:
+        """Append one projected point."""
         with self._lock:
             self._points.append(point)
             self._labels.add(point.label)
-            self._last_seq = seq
             self._matrix = None
 
-    def drain(self) -> Tuple[Tuple[LabeledPoint, ...], int]:
-        """Atomically take every point out (compaction); returns ``(points, last_seq)``.
-
-        ``last_seq`` is the WAL sequence number of the newest drained point —
-        after the fold it becomes the index's *applied* sequence, the replay
-        cut-off recorded by checkpoints.
-        """
+    def drain(self) -> Tuple[LabeledPoint, ...]:
+        """Atomically take every point out (compaction) and return them."""
         with self._lock:
             points = tuple(self._points)
             self._points = []
             self._labels = set()
             self._matrix = None
-            return points, self._last_seq
+            return points
 
     # -- reads --------------------------------------------------------------------------
 
@@ -127,12 +120,6 @@ class DeltaIndex:
         return kernels.linear_range(points, query, radius, matrix,
                                     kernel=self.scan_kernel)
 
-    @property
-    def last_seq(self) -> int:
-        """WAL sequence number of the newest point currently in the delta."""
-        with self._lock:
-            return self._last_seq
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._points)
@@ -143,4 +130,4 @@ class DeltaIndex:
             return label in self._labels
 
     def __repr__(self) -> str:
-        return f"DeltaIndex(points={len(self)}, last_seq={self.last_seq})"
+        return f"DeltaIndex(points={len(self)})"

@@ -132,17 +132,22 @@ class IngestingIndex:
                    compaction_threshold=compaction_threshold)
 
     def _apply_record(self, record: WalRecord) -> None:
-        self._apply(record.triple, record.document_id,
-                    self.base.embed_query(record.triple), record.seq)
+        self._apply(record.triple, record.document_id)
+
+    def _contains(self, triple: Triple) -> bool:
+        """True when a point labelled with ``triple`` is in the tree or the delta."""
+        return triple in self.base or triple in self.delta
 
     def _apply(self, triple: Triple, document_id: Optional[str],
-               point: LabeledPoint, seq: int) -> None:
+               point: Optional[LabeledPoint] = None) -> None:
         """Stage one logged insert under the set rule (insert and replay alike).
 
         A triple in the tree only gains provenance, through the base index's
         own rule (which moves the generation, so cached matches re-dress).
         A triple in the delta gains provenance too; its matches are dressed
-        on every read.  Anything else is a new point.
+        on every read.  Anything else is a new point: ``point``, or the
+        triple projected here when none is given — so a present triple is
+        never projected.
         """
         if triple in self.base:
             self.base.insert_triple(triple, document_id=document_id)
@@ -150,19 +155,23 @@ class IngestingIndex:
         if document_id is not None:
             self.base.register_provenance(triple, document_id)
         if triple not in self.delta:
-            self.delta.add(point, seq)
+            self.delta.add(point if point is not None else self.base.embed_query(triple))
 
     # -- the write path -----------------------------------------------------------------
 
     def insert(self, triple: Triple, *, document_id: str | None = None) -> int:
         """Project, log and stage one triple; returns a WAL sequence number.
 
-        The triple is queryable the moment this returns.  It is projected
-        first, outside every lock, so a triple that cannot be projected is
-        never logged (and never reappears on recovery).  Logging and staging
-        run as *readers* of the tree lock: any number of inserts interleave
-        with queries, and only an in-flight compaction (a writer) briefly
-        delays them.
+        The triple is queryable the moment this returns.  An absent triple
+        is projected first, outside every lock, so a triple that cannot be
+        projected is never logged (and never reappears on recovery).  A
+        present one is not projected at all: presence only grows (a fold
+        moves a point from the delta to the tree, nothing removes one), so
+        a triple seen present here is still present under the lock, and a
+        stale "absent" costs one projection the check below discards.
+        Logging and staging run as *readers* of the tree lock: any number of
+        inserts interleave with queries, and only an in-flight compaction (a
+        writer) briefly delays them.
 
         A triple already present brings at most a new ``document_id``; when
         it brings none, nothing is logged and the returned sequence number
@@ -170,16 +179,16 @@ class IngestingIndex:
         the write share ``_insert_lock``, so concurrent identical inserts
         leave one point.
         """
-        point = self.base.embed_query(triple)
+        point = None if self._contains(triple) else self.base.embed_query(triple)
         with self._lock.read():
             with self._insert_lock:
-                if ((triple in self.base or triple in self.delta)
-                        and (document_id is None
-                             or document_id in self.base.documents_of(triple))):
+                if self._contains(triple) and (
+                        document_id is None
+                        or document_id in self.base.documents_of(triple)):
                     seq = self.wal.last_seq
                 else:
                     seq = self.wal.append(triple, document_id=document_id)
-                    self._apply(triple, document_id, point, seq)
+                    self._apply(triple, document_id, point)
         self.metrics.record_insert()
         return seq
 
@@ -222,7 +231,7 @@ class IngestingIndex:
         """
         started = time.perf_counter()
         with self._lock.write():
-            points, _ = self.delta.drain()
+            points = self.delta.drain()
             folded = self.base.absorb_points(points)
             # Every logged record is now in the tree or the provenance map,
             # a provenance-only record (which staged no point) included.

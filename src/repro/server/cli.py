@@ -54,12 +54,6 @@ def add_serving_options(parser: argparse.ArgumentParser) -> None:
                              "searches are outstanding in the engine, or this "
                              "many of those query requests are already held by "
                              "the transport's worker pool (default: unbounded)")
-    parser.add_argument("--client-rate", type=float, default=None,
-                        help="admission control: per-client (X-Client-Id header) "
-                             "sustained queries/second (default: unlimited)")
-    parser.add_argument("--client-burst", type=int, default=10,
-                        help="per-client token-bucket burst size (with "
-                             "--client-rate)")
     parser.add_argument("--faults", default=None,
                         help="fault-injection plan: JSON text or a path to a "
                              "JSON file (default: $REPRO_FAULTS; testing only)")
@@ -93,8 +87,6 @@ def engine_options(args: argparse.Namespace) -> Dict[str, Any]:
         "cache_capacity": args.cache_capacity,
         "default_deadline": args.default_deadline,
         "max_queue_depth": args.max_queue_depth,
-        "client_rate": args.client_rate,
-        "client_burst": args.client_burst,
         **shell_options(args),
     }
 

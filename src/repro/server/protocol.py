@@ -12,7 +12,7 @@ mover around this module, which holds the one implementation of:
   direction of the same framing (status line, the same header block and
   caps, a ``Content-Length`` body) for the coordinator's shard connection.
 - **dispatch** (:class:`Dispatcher`): the full request lifecycle — trace
-  activation, request context, fault injection, routing, the pinned
+  activation, fault injection, routing, the pinned
   4xx/5xx error ladder, handler invocation, serialisation, the access-log
   line — producing a :class:`WireResponse` the transport writes out.
 
@@ -40,7 +40,6 @@ from repro import __version__
 from repro.faults import FaultPlan, FaultSpec
 from repro.obs import logging as obs_logging
 from repro.obs.tracing import Trace, activate, sanitize_trace_id, span
-from repro.server.context import CLIENT_ID_HEADER, request_context
 from repro.server.schemas import error_body, status_for
 
 __all__ = [
@@ -593,8 +592,7 @@ class Dispatcher:
         route = request.route
         with activate(trace):
             with span("request", method=request.method, path=route):
-                with request_context(client_id=request.headers.get(CLIENT_ID_HEADER)):
-                    response = self._respond(request, trace, route)
+                response = self._respond(request, trace, route)
         response.trace_id = trace.trace_id
         if response.reset:
             self.access_log(request.method, route, -1, 0.0, client, trace.trace_id)

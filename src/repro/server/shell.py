@@ -43,7 +43,6 @@ from repro.obs import prometheus as obs_prometheus
 from repro.obs.profile import SamplingProfiler, profile_endpoint
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import span
-from repro.server.context import current_context
 from repro.server.schemas import parse_query_request, render_results
 from repro.service.admission import AdmissionController
 from repro.service.engine import QueryEngine
@@ -234,10 +233,9 @@ class EngineShell(ServiceShell):
         Passed through to :class:`QueryEngine`, which serves each query on
         the thread that calls the handler; ``workers`` bounds how many
         searches run at once.
-    max_queue_depth / client_rate / client_burst:
+    max_queue_depth:
         Admission control (see :class:`AdmissionController`): bound on
-        outstanding searches, and per-``X-Client-Id`` token-bucket rate
-        limits.  Both default off — admission is opt-in.
+        outstanding searches.  Defaults off — admission is opt-in.
 
     Remaining keyword arguments are :class:`ServiceShell`'s.
     """
@@ -246,18 +244,14 @@ class EngineShell(ServiceShell):
 
     def __init__(self, index, *, workers: int = 4, cache_capacity: int = 1024,
                  default_deadline: float | None = None,
-                 max_queue_depth: int | None = None,
-                 client_rate: float | None = None, client_burst: int = 10,
-                 **shell_options):
+                 max_queue_depth: int | None = None, **shell_options):
         self.index = index
         self.engine = QueryEngine(
             index, workers=workers, cache_capacity=cache_capacity,
             default_deadline=default_deadline,
         )
         self.admission = AdmissionController(
-            self.engine, max_queue_depth=max_queue_depth,
-            client_rate=client_rate, client_burst=client_burst,
-        )
+            self.engine, max_queue_depth=max_queue_depth)
         super().__init__(**shell_options)
 
     def _bind_registry(self) -> None:
@@ -292,7 +286,6 @@ class EngineShell(ServiceShell):
             self.admission.admit(
                 queries=len(specs),
                 deadline=_strictest_deadline(specs, self.engine.default_deadline),
-                client_id=current_context().client_id,
             )
         results = self.engine.execute_batch(specs)
         if not batched:

@@ -2,7 +2,7 @@
 
 An in-process fleet runs *two* shard servers per partition (each serving
 the identical subtree of the same index); the transport's retry loop,
-circuit breakers, hedging and graceful-degradation paths are then driven
+circuit breakers and graceful-degradation paths are then driven
 by actually killing servers.
 """
 
@@ -172,49 +172,6 @@ class TestReplicaFailover:
         finally:
             oracle.close()
             view.close()
-
-
-class TestHedging:
-    def test_hedge_fires_on_a_slow_replica_and_stays_exact(self, corpus_index,
-                                                           replica_fleet):
-        index, triples, data_partitions = corpus_index
-        servers, topology = replica_fleet
-        slow = data_partitions[0]
-        point = index.embed_query(triples[0])
-        primary_url = topology.replicas_of(slow)[0]
-        # The fault plan stalls only the primary replica's scans; the hedge
-        # races the secondary and wins.
-        plan = FaultPlan([FaultSpec(operation="scan", target=f"{slow}@{primary_url}",
-                                    kind="latency", latency=0.5)])
-        # A real sleep, not the no-op: the injected latency must actually
-        # stall the primary for the hedge timer to expire.
-        import time
-        transport = make_failover_transport(topology, hedge_delay=0.02,
-                                            fault_plan=plan, sleep=time.sleep)
-        try:
-            baseline_transport = make_failover_transport(topology)
-            baseline = baseline_transport.scan_knn(slow, point, 4)
-            baseline_transport.close()
-            hedged = transport.scan_knn(slow, point, 4)
-            assert [n.distance for n in hedged.neighbours] == \
-                   [n.distance for n in baseline.neighbours]
-            stats = transport.failover_stats()[slow]
-            assert stats["hedges"] >= 1
-            assert stats["hedge_wins"] >= 1
-        finally:
-            transport.close()
-
-    def test_hedge_not_fired_when_primary_is_fast(self, corpus_index,
-                                                  replica_fleet):
-        index, triples, data_partitions = corpus_index
-        _, topology = replica_fleet
-        point = index.embed_query(triples[0])
-        transport = make_failover_transport(topology, hedge_delay=30.0)
-        try:
-            transport.scan_knn(data_partitions[0], point, 3)
-            assert transport.failover_stats()[data_partitions[0]]["hedges"] == 0
-        finally:
-            transport.close()
 
 
 class TestInjectedTransportFaults:

@@ -155,12 +155,6 @@ FAMILIES = {
         "repro_shard_failovers_total": (
             "counter", ("partition",),
             "Scan retries that moved to a different replica, by partition.", None),
-        "repro_shard_hedges_total": (
-            "counter", ("partition",),
-            "Duplicate hedge requests issued to a second replica, by partition.", None),
-        "repro_shard_hedge_wins_total": (
-            "counter", ("partition",),
-            "Hedged scans where the duplicate answered first, by partition.", None),
         "repro_shard_circuit_opens_total": (
             "counter", ("partition",), "Replica circuit-breaker trips, by partition.", None),
         "repro_shard_circuit_shed_total": (

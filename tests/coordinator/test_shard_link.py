@@ -15,7 +15,6 @@ Two things the row-id wire made the transport responsible for:
 
 from __future__ import annotations
 
-import concurrent.futures
 import socket
 import threading
 from collections import deque
@@ -219,44 +218,6 @@ class TestConnection:
         transport.close()  # from a fourth thread, which owns none of them
         assert all(sock.fileno() == -1 for sock in sockets)
         assert not connection._sockets
-
-
-class TestHedgingTimeout:
-    def test_the_hedge_fires_on_the_futures_timeout(self, corpus_index, shard_fleet,
-                                                    make_transport):
-        """``Future.result(timeout)`` raises ``concurrent.futures.TimeoutError``,
-        which is the builtin ``TimeoutError`` only from Python 3.11."""
-        _, _, data_partitions = corpus_index
-        servers, _ = shard_fleet
-        pid = data_partitions[0]
-        transport = make_transport(
-            ShardTopology({pid: [servers[pid].url, "http://127.0.0.1:9"]}), hedge_delay=0.01)
-
-        class SlowPrimary(concurrent.futures.Future):
-            def result(self, timeout=None):
-                if timeout is not None:
-                    raise concurrent.futures.TimeoutError()
-                return super().result()
-
-        hedge = concurrent.futures.Future()
-        hedge.set_result(({"partition_id": pid}, ()))
-        submitted = deque([SlowPrimary(), hedge])
-
-        class Pool:
-            def submit(self, *call):
-                return submitted.popleft()
-
-            def shutdown(self, wait=True):
-                pass
-
-        transport._hedge_pool.shutdown(wait=False)
-        transport._hedge_pool = Pool()
-        primary, alternate = transport._replica_sets[pid].replicas
-        payload, neighbours = transport._attempt_hedged(
-            pid, "shard_knn", "/v1/shard/knn", b"{}", primary, [alternate])
-        assert (payload, neighbours) == ({"partition_id": pid}, ())
-        assert transport.failover_stats()[pid]["hedges"] == 1
-        assert transport.failover_stats()[pid]["hedge_wins"] == 1
 
 
 @pytest.fixture(scope="module")

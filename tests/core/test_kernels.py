@@ -158,9 +158,9 @@ def test_delta_index_kernels_equivalent():
     points = _random_points(96, 8, duplicates=True)
     scalar_delta = DeltaIndex(scan_kernel="scalar")
     numpy_delta = DeltaIndex(scan_kernel="numpy")
-    for seq, point in enumerate(points, start=1):
-        scalar_delta.add(point, seq)
-        numpy_delta.add(point, seq)
+    for point in points:
+        scalar_delta.add(point)
+        numpy_delta.add(point)
     for query in _queries(8):
         assert _knn_key(scalar_delta.all_neighbours(query)) == \
             _knn_key(numpy_delta.all_neighbours(query))
@@ -329,8 +329,8 @@ def test_tree_entry_points_own_the_dimension_check():
 
 def test_delta_numpy_dimension_mismatch_raises_library_error():
     delta = DeltaIndex(scan_kernel="numpy")
-    for seq, point in enumerate(_random_points(32, 2), start=1):
-        delta.add(point, seq)
+    for point in _random_points(32, 2):
+        delta.add(point)
     bad_query = LabeledPoint.of([0.1, 0.2, 0.3])
     with pytest.raises(IndexError_):
         delta.k_nearest(bad_query, 3)

@@ -10,27 +10,26 @@ class TestDeltaIndex:
         delta = DeltaIndex()
         a = LabeledPoint.of([0.1, 0.2], label="a")
         b = LabeledPoint.of([0.3, 0.4], label="b")
-        delta.add(a, 1)
+        delta.add(a)
         snapshot = delta.points()
-        delta.add(b, 2)
+        delta.add(b)
         assert snapshot == (a,)          # snapshots are frozen
         assert delta.points() == (a, b)  # duplicates/later adds visible in new ones
         assert len(delta) == 2
-        assert delta.last_seq == 2
 
-    def test_drain_empties_and_reports_last_seq(self):
+    def test_drain_empties_and_returns_the_points(self):
         delta = DeltaIndex()
-        delta.add(LabeledPoint.of([0.1], label="a"), 4)
-        delta.add(LabeledPoint.of([0.2], label="b"), 5)
-        points, last_seq = delta.drain()
-        assert len(points) == 2
-        assert last_seq == 5
+        a = LabeledPoint.of([0.1], label="a")
+        b = LabeledPoint.of([0.2], label="b")
+        delta.add(a)
+        delta.add(b)
+        assert delta.drain() == (a, b)
         assert len(delta) == 0
 
     def test_neighbour_helpers_measure_from_the_query(self):
         delta = DeltaIndex()
-        delta.add(LabeledPoint.of([0.0, 0.0], label="origin"), 1)
-        delta.add(LabeledPoint.of([3.0, 4.0], label="far"), 2)
+        delta.add(LabeledPoint.of([0.0, 0.0], label="origin"))
+        delta.add(LabeledPoint.of([3.0, 4.0], label="far"))
         query = LabeledPoint.of([0.0, 0.0])
         distances = sorted(n.distance for n in delta.all_neighbours(query))
         assert distances == [0.0, 5.0]

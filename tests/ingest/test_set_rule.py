@@ -18,6 +18,19 @@ from repro.service import QueryEngine, QuerySpec
 from repro.service.snapshot import load_index, save_index
 
 
+def count_projections(index, monkeypatch):
+    """The triples ``index.embed_query`` is called with from now on."""
+    calls = []
+    real = index.embed_query
+
+    def counting(triple):
+        calls.append(triple)
+        return real(triple)
+
+    monkeypatch.setattr(index, "embed_query", counting)
+    return calls
+
+
 def exact_matches(index, triple):
     """The stored triples at distance 0 from ``triple``, with provenance."""
     return [(match.triple, match.documents) for match in index.range_query(triple, 0.0)
@@ -101,6 +114,33 @@ class TestIngestingIndex:
         assert live.insert(BASE_TRIPLES[1]) == first
         assert len(live.wal) == 1
         assert len(live) == len(BASE_TRIPLES) + 1
+
+    def test_a_present_triple_is_never_projected(self, make_base, tmp_path,
+                                                 monkeypatch):
+        live = IngestingIndex(make_base(), tmp_path / "wal.jsonl")
+        live.insert(INSERT_TRIPLES[0])  # now in the delta
+        calls = count_projections(live.base, monkeypatch)
+        for triple in (BASE_TRIPLES[0], INSERT_TRIPLES[0]):
+            for document_id in (None, "d1", "d1"):
+                live.insert(triple, document_id=document_id)
+        assert calls == []
+        live.insert(INSERT_TRIPLES[1])
+        assert calls == [INSERT_TRIPLES[1]]
+        live.close()
+
+    def test_replaying_a_provenance_only_record_projects_nothing(
+            self, make_base, tmp_path, monkeypatch):
+        wal_path = tmp_path / "wal.jsonl"
+        with WriteAheadLog(wal_path) as wal:
+            wal.append(INSERT_TRIPLES[0])
+            wal.append(INSERT_TRIPLES[0], document_id="d1")
+            wal.append(BASE_TRIPLES[0], document_id="d1")
+        base = make_base()
+        calls = count_projections(base, monkeypatch)
+        live = IngestingIndex(base, wal_path)
+        assert calls == [INSERT_TRIPLES[0]]
+        assert exact_matches(live, INSERT_TRIPLES[0]) == [(INSERT_TRIPLES[0], ("d1",))]
+        live.close()
 
     def test_two_identical_inserts_leave_one_match(self, make_base, tmp_path):
         live = IngestingIndex(make_base(), tmp_path / "wal.jsonl")

@@ -1,9 +1,9 @@
-"""Admission control: token buckets, shed decisions, 503 + Retry-After.
+"""Admission control: shed decisions, 503 + Retry-After.
 
-Unit tests drive :class:`AdmissionController` against a stub engine and a
-fake clock; the end-to-end tests boot a real server and assert the HTTP
-contract — status 503, the structured ``reason``, and a ``Retry-After``
-header the client surfaces on :class:`ServerError`.
+Unit tests drive :class:`AdmissionController` against a stub engine; the
+end-to-end tests boot a real server and assert the HTTP contract — status
+503, the structured ``reason``, and a ``Retry-After`` header the client
+surfaces on :class:`ServerError`.
 """
 
 from __future__ import annotations
@@ -17,21 +17,8 @@ import pytest
 from server_corpus import INSERT_TRIPLES, QUERY_TRIPLES
 from repro.errors import AdmissionError, QueryError, ServerError
 from repro.faults import FaultPlan, FaultSpec
-from repro.service.admission import (
-    AdmissionController, TokenBucket, CLIENT_BUCKET_LIMIT, MIN_RETRY_AFTER,
-)
+from repro.service.admission import AdmissionController
 from repro.workloads import ServerClient
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
 
 
 class StubEngine:
@@ -44,37 +31,6 @@ class StubEngine:
 
     def predicted_wait_seconds(self):
         return self._wait
-
-
-class TestTokenBucket:
-    def test_burst_then_starve_then_refill(self):
-        clock = FakeClock()
-        bucket = TokenBucket(2.0, 3.0, clock=clock)
-        assert all(bucket.take() for _ in range(3)), "starts full"
-        assert not bucket.take()
-        clock.advance(0.5)  # one token accrues at 2/s
-        assert bucket.take()
-        assert not bucket.take()
-
-    def test_tokens_cap_at_burst(self):
-        clock = FakeClock()
-        bucket = TokenBucket(10.0, 2.0, clock=clock)
-        clock.advance(100.0)
-        assert bucket.take() and bucket.take()
-        assert not bucket.take()
-
-    def test_retry_after_predicts_accrual(self):
-        clock = FakeClock()
-        bucket = TokenBucket(2.0, 1.0, clock=clock)
-        assert bucket.retry_after() == 0.0
-        bucket.take()
-        assert bucket.retry_after() == pytest.approx(0.5)
-
-    def test_validation(self):
-        with pytest.raises(QueryError):
-            TokenBucket(0.0, 1.0)
-        with pytest.raises(QueryError):
-            TokenBucket(1.0, 0.0)
 
 
 class TestAdmissionController:
@@ -103,41 +59,9 @@ class TestAdmissionController:
         assert excinfo.value.reason == "deadline"
         assert excinfo.value.retry_after == pytest.approx(0.8)
 
-    def test_rate_limit_is_per_client(self):
-        clock = FakeClock()
-        controller = AdmissionController(StubEngine(), client_rate=1.0,
-                                         client_burst=2, clock=clock)
-        controller.admit(client_id="a")
-        controller.admit(client_id="a")
-        with pytest.raises(AdmissionError) as excinfo:
-            controller.admit(client_id="a")
-        assert excinfo.value.reason == "rate_limit"
-        assert excinfo.value.retry_after >= MIN_RETRY_AFTER
-        controller.admit(client_id="b")  # a fresh client has its own bucket
-        clock.advance(1.0)
-        controller.admit(client_id="a")  # tokens accrued back
-
-    def test_anonymous_clients_share_one_bucket(self):
-        controller = AdmissionController(StubEngine(), client_rate=1.0,
-                                         client_burst=1, clock=FakeClock())
-        controller.admit(client_id=None)
-        with pytest.raises(AdmissionError):
-            controller.admit(client_id=None)
-
-    def test_client_buckets_are_lru_bounded(self):
-        controller = AdmissionController(StubEngine(), client_rate=100.0,
-                                         client_burst=1, clock=FakeClock())
-        for n in range(CLIENT_BUCKET_LIMIT + 10):
-            controller.admit(client_id=f"client-{n}")
-        assert controller.snapshot()["tracked_clients"] == CLIENT_BUCKET_LIMIT
-
     def test_validation(self):
         with pytest.raises(QueryError):
             AdmissionController(StubEngine(), max_queue_depth=0)
-        with pytest.raises(QueryError):
-            AdmissionController(StubEngine(), client_rate=-1.0)
-        with pytest.raises(QueryError):
-            AdmissionController(StubEngine(), client_burst=0)
 
 
 class TestAdmissionOverHttp:
@@ -153,33 +77,18 @@ class TestAdmissionOverHttp:
         # Within the depth limit the same server answers normally.
         assert client.knn(QUERY_TRIPLES[0], 3)["matches"] is not None
 
-    def test_rate_limited_client_gets_503_and_others_proceed(self, make_server):
-        _, client = make_server(client_rate=0.001, client_burst=2)
-        noisy = {"X-Client-Id": "noisy"}
-        payload = ServerClient.knn_payload(QUERY_TRIPLES[0], 3)
-        client.request("POST", "/v1/knn", payload, headers=noisy)
-        client.request("POST", "/v1/knn", payload, headers=noisy)
-        with pytest.raises(ServerError) as excinfo:
-            client.request("POST", "/v1/knn", payload, headers=noisy)
-        assert excinfo.value.status == 503
-        assert excinfo.value.retry_after >= 1.0
-        # A different client id still has its full burst.
-        assert "matches" in client.request("POST", "/v1/knn", payload,
-                                           headers={"X-Client-Id": "quiet"})
-
     def test_shed_counters_reach_metrics_and_prometheus(self, make_server):
-        _, client = make_server(client_rate=0.001, client_burst=1)
+        _, client = make_server(max_queue_depth=1)
         payload = ServerClient.knn_payload(QUERY_TRIPLES[0], 3)
         client.request("POST", "/v1/knn", payload)
-        for _ in range(2):
-            with pytest.raises(ServerError):
-                client.request("POST", "/v1/knn", payload)
+        with pytest.raises(ServerError):
+            client.knn_batch([payload, payload])  # 2 queries > depth 1
         admission = client.metrics()["server"]["admission"]
         assert admission["enabled"] is True
         assert admission["admitted"] == 1
-        assert admission["shed"] == {"rate_limit": 2}
+        assert admission["shed"] == {"queue_full": 2}
         exposition = client.metrics_prometheus()
-        assert 'repro_requests_shed_total{reason="rate_limit"} 2' in exposition
+        assert 'repro_requests_shed_total{reason="queue_full"} 2' in exposition
         assert "repro_requests_admitted_total 1" in exposition
 
     def test_transport_sheds_at_enqueue_once_the_pool_holds_the_depth(

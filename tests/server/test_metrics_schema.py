@@ -35,8 +35,8 @@ INGEST_KEYS = {
 COMPACTION_KEYS = {"mean", "max", "last"}
 INDEX_KEYS = {"generation", "points", "tree_points", "kernel", "dimensions"}
 SERVER_KEYS = {"uptime_seconds", "requests", "admission"}
-ADMISSION_KEYS = {"enabled", "max_queue_depth", "client_rate", "admitted",
-                  "shed", "shed_total", "tracked_clients"}
+ADMISSION_KEYS = {"enabled", "max_queue_depth", "admitted", "shed",
+                  "shed_total"}
 
 
 def walk_keys(payload, path=""):

@@ -121,8 +121,6 @@ FACES = {
         ("shards.per_shard.*.failures", "repro_shard_scan_failures_total", "partition"),
         ("shards.failover.*.retries", "repro_shard_retries_total", "partition"),
         ("shards.failover.*.failovers", "repro_shard_failovers_total", "partition"),
-        ("shards.failover.*.hedges", "repro_shard_hedges_total", "partition"),
-        ("shards.failover.*.hedge_wins", "repro_shard_hedge_wins_total", "partition"),
         ("shards.failover.*.circuit_shed", "repro_shard_circuit_shed_total", "partition"),
         ("shards.failover.*.circuit_opens", "repro_shard_circuit_opens_total", "partition"),
     ],
