@@ -182,13 +182,13 @@ class FastMap(Generic[ObjectT]):
         self.dimensions = dimensions
         self.pivot_iterations = pivot_iterations
         self._random = random.Random(seed)
-        #: Count of distance-function evaluations performed by the last fit.
+        #: Count of distance-function evaluations performed by the last fit;
+        #: :meth:`project` does not count (it runs on many threads at once).
         self.distance_evaluations = 0
 
     # -- internal helpers -------------------------------------------------------------
 
     def _base_distance(self, a: ObjectT, b: ObjectT) -> float:
-        self.distance_evaluations += 1
         value = self._distance(a, b)
         if value < 0:
             raise EmbeddingError(f"distance function returned a negative value: {value}")

@@ -5,6 +5,17 @@ same type (we can apply any distance function between strings, i.e.
 Levenshtein)".  This module implements the classical edit distances plus
 normalised variants returning values in ``[0, 1]`` as required by the
 weighted triple distance.
+
+:func:`levenshtein` is on the hot path of Eq. (1): it compares literals and,
+through :class:`~repro.semantics.triple_distance.TermDistance`, every concept
+pair that no single vocabulary covers, in each of the 16 triple distances a
+projected triple costs.  It computes the exact integer edit distance with the
+bit-parallel recurrence of Myers (JACM 1999) in Hyyrö's (2001) formulation
+for the whole-string distance: one column of the dynamic-programming table
+per character of the longer string, held as vertical +1/-1 delta bit-vectors
+over the shorter one, in Python ints of any width.  The result is the same
+integer as the O(m·n) table, which ``tests/semantics/test_string_distance.py``
+keeps as the oracle.
 """
 
 from __future__ import annotations
@@ -28,26 +39,47 @@ StringDistance = Callable[[str, str], float]
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Classic Levenshtein edit distance (insertions, deletions, substitutions)."""
+    """Classic Levenshtein edit distance (insertions, deletions, substitutions).
+
+    Bit-parallel (Myers/Hyyrö): bit ``i`` of ``pv``/``mv`` says that row ``i``
+    of the current column is one more/one less than the row above it, and
+    ``ph``/``mh`` carry the same for the step from the previous column.  The
+    score follows the last row, bit ``m - 1``.
+    """
     if a == b:
         return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    # Keep the shorter string in the inner loop for memory friendliness.
-    if len(a) < len(b):
+    if len(a) > len(b):
         a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, char_a in enumerate(a, start=1):
-        current = [i]
-        for j, char_b in enumerate(b, start=1):
-            insert_cost = current[j - 1] + 1
-            delete_cost = previous[j] + 1
-            substitute_cost = previous[j - 1] + (0 if char_a == char_b else 1)
-            current.append(min(insert_cost, delete_cost, substitute_cost))
-        previous = current
-    return previous[-1]
+    m = len(a)
+    if not m:
+        return len(b)
+    # peq[c]: the rows of the pattern ``a`` that hold character c.
+    peq: dict[str, int] = {}
+    bit = 1
+    for char in a:
+        peq[char] = peq.get(char, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    top = bit >> 1
+    pv, mv, score = mask, 0, m
+    for char in b:
+        eq = peq.get(char, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & top:
+            score += 1
+        elif mh & top:
+            score -= 1
+        # Row 0 of every column grows by one: shift a +1 in at the bottom.
+        ph = (ph << 1) | 1
+        mh <<= 1
+        # No bit at or above m ever reaches a lower one (carries and shifts
+        # go up), so masking what the next column reads keeps it exact.
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv & mask
+    return score
 
 
 def normalised_levenshtein(a: str, b: str) -> float:

@@ -78,8 +78,9 @@ _LAG_BUCKETS = (0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0)
 #: execute handlers (the engine searches on them) and serialise responses.
 TRANSPORT_WORKERS = 8
 
-#: Most response bodies the wire cache holds; least recently used go first.
-WIRE_CACHE_CAPACITY = 4096
+#: Most response bodies the wire cache holds (a cold k-NN entry costs about
+#: 3.9 KB of RSS); least recently used go first.
+WIRE_CACHE_CAPACITY = 2048
 
 
 class _Connection:

@@ -5,6 +5,10 @@ the build path was vectorised — one distance call per (object, reference)
 pair, ``math.sqrt`` per residual — kept here as the reference.  Nothing in
 this module compares with a tolerance: coordinates go through
 ``tobytes()``, everything else through ``==``.
+
+The same holds one layer down: the suite corpus built and projected with the
+library's bit-parallel Levenshtein equals the one built with the textbook
+table, ``_reference_levenshtein`` of ``tests/semantics/test_string_distance.py``.
 """
 
 from __future__ import annotations
@@ -24,12 +28,16 @@ from repro.embedding.fastmap import FastMapSpace, PivotPair
 from repro.errors import EmbeddingError
 from repro.rdf import Concept, Literal, Triple
 from repro.requirements import build_requirement_distance, build_requirement_vocabularies
-from repro.semantics import DistanceWeights, TripleDistance
+from repro.semantics import DistanceWeights, TermDistance, TripleDistance
 from repro.service.snapshot import save_index
 
 # The benchmark suite's corpora, imported the way its own entry point does.
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[2] / "benchmarks"))
 from suite import corpora  # noqa: E402
+
+# The string-distance oracle, kept next to the tests of the kernel it checks.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "semantics"))
+from test_string_distance import _reference_levenshtein  # noqa: E402
 
 
 class ScalarFastMap(FastMap):
@@ -40,6 +48,7 @@ class ScalarFastMap(FastMap):
 
     def _residual_distance(self, a_index: int, b_index: int, objects: Sequence,
                            coordinates: np.ndarray, upto_dimension: int) -> float:
+        self.distance_evaluations += 1
         base = self._base_distance(objects[a_index], objects[b_index])
         squared = base * base
         for dim in range(upto_dimension):
@@ -141,6 +150,42 @@ def test_suite_corpus_builds_the_same_index(seed, triples, tmp_path):
         assert built.embed_query(query).coordinates == reference.embed_query(query).coordinates
         assert built.k_nearest(query, 5) == reference.k_nearest(query, 5)
         assert built.range_query(query, 0.2) == reference.range_query(query, 0.2)
+
+
+def test_projection_leaves_the_fit_count_alone():
+    """``distance_evaluations`` counts the last fit; projections run on many threads at once."""
+    inputs = corpora.requirements_inputs(11, 240)
+    index = corpora.build_requirements_index(corpora.requirements_index(inputs))
+    fastmap = index.embedder._fastmap
+    assert fastmap.distance_evaluations == 56 * 240
+    for triple in inputs.query_triples[:50]:
+        index.embed_query(triple)
+    assert fastmap.distance_evaluations == 56 * 240
+
+
+def _reference_normalised_levenshtein(a: str, b: str) -> float:
+    """``normalised_levenshtein`` over the dynamic-programming table."""
+    if a == b:
+        return 0.0
+    return _reference_levenshtein(a, b) / max(len(a), len(b))
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_the_string_kernel_builds_and_projects_like_the_table(seed):
+    inputs = corpora.requirements_inputs(seed, 240)
+    vocabularies = build_requirement_vocabularies(list(inputs.actors), inputs.parameters)
+    kernel = build_requirement_distance(vocabularies)
+    table = TripleDistance(
+        TermDistance(vocabularies, string_distance=_reference_normalised_levenshtein),
+        kernel.weights)
+    built, reference = (corpora.build_requirements_index(corpora.requirements_index(inputs, d))
+                        for d in (kernel, table))
+
+    space, expected = built.embedder.space, reference.embedder.space
+    assert space.coordinates.tobytes() == expected.coordinates.tobytes()
+    assert space.pivots == expected.pivots
+    for triple in inputs.query_triples[:200] + inputs.insert_triples[:200]:
+        assert built.embed_query(triple).coordinates == reference.embed_query(triple).coordinates
 
 
 # -- (b): a table row is the scalar distance, entry by entry -------------------------------

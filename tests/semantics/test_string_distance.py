@@ -1,4 +1,9 @@
-"""Tests (including property-based tests) for the string distances."""
+"""Tests (including property-based tests) for the string distances.
+
+:func:`_reference_levenshtein` is the textbook O(m·n) table the library
+shipped before :func:`levenshtein` became bit-parallel; it is kept here as
+the oracle the kernel must equal on every input.
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +21,32 @@ from repro.semantics import (
 )
 
 short_text = st.text(alphabet=st.characters(min_codepoint=97, max_codepoint=122), max_size=12)
+#: Lengths 0-150 cross the 30- and 64-bit word boundaries of the bit-vectors.
+any_text = st.text(max_size=150)
+#: Three letters: matches are dense, so long runs of +1/-1 deltas carry far.
+dense_text = st.text(alphabet="abc", max_size=150)
+
+
+def _reference_levenshtein(a: str, b: str) -> int:
+    """Levenshtein distance by the full dynamic-programming table, one row at a time."""
+    if a == b:
+        return 0
+    if not a:
+        return len(b)
+    if not b:
+        return len(a)
+    if len(a) < len(b):
+        a, b = b, a
+    previous = list(range(len(b) + 1))
+    for i, char_a in enumerate(a, start=1):
+        current = [i]
+        for j, char_b in enumerate(b, start=1):
+            insert_cost = current[j - 1] + 1
+            delete_cost = previous[j] + 1
+            substitute_cost = previous[j - 1] + (0 if char_a == char_b else 1)
+            current.append(min(insert_cost, delete_cost, substitute_cost))
+        previous = current
+    return previous[-1]
 
 
 class TestLevenshtein:
@@ -29,7 +60,21 @@ class TestLevenshtein:
         ("start-up", "startup", 1),
     ])
     def test_known_values(self, a, b, expected):
-        assert levenshtein(a, b) == expected
+        assert levenshtein(a, b) == expected == _reference_levenshtein(a, b)
+
+    @pytest.mark.parametrize("length", [1, 29, 30, 31, 63, 64, 65, 129, 300])
+    def test_equals_the_table_across_word_boundaries(self, length):
+        pattern = ("abcab" * 400)[:length]
+        text = ("bacba" * 400)[:length + 3]
+        assert levenshtein(pattern, text) == _reference_levenshtein(pattern, text)
+        assert levenshtein(pattern, "") == length
+        assert levenshtein("x" * length, "y" * length) == length
+
+    @given(st.one_of(st.tuples(any_text, any_text), st.tuples(dense_text, dense_text)))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_table(self, pair):
+        a, b = pair
+        assert levenshtein(a, b) == _reference_levenshtein(a, b) == levenshtein(b, a)
 
     @given(short_text, short_text)
     def test_symmetry(self, a, b):
